@@ -1,52 +1,18 @@
 package repro.harness
 
-import java.sql.DriverManager
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.types._
+import repro.DuckDb
 
 /** DuckDB as the production *vectorized* engine for Table 2 (VectorWise
-  * stand-in). Unlike the correctness Oracle (all-VARCHAR), tables here are
-  * properly typed so the timed queries don't pay per-row cast costs; load
-  * time is excluded from measurements, matching the paper's methodology.
+  * stand-in), single-threaded like the other Table 2 columns. Tables are
+  * loaded through the same typed [[DuckDb]] loader as the correctness
+  * oracle; load time is excluded from measurements, matching the paper's
+  * methodology.
   */
-final class DuckBench(tables: Seq[(String, DataFrame)], threads: Int = 1) {
-  Class.forName("org.duckdb.DuckDBDriver")
-  private val conn = DriverManager.getConnection("jdbc:duckdb:")
-  conn.createStatement.execute(s"PRAGMA threads=$threads")
-
-  for ((name, df) <- tables) {
-    val cols = df.schema.fields.map(f => s"${f.name} ${duckType(f.dataType)}").mkString(", ")
-    conn.createStatement.execute(s"CREATE TABLE $name ($cols)")
-    val ps = conn.prepareStatement(
-      s"INSERT INTO $name VALUES (${df.schema.fields.map(_ => "?").mkString(",")})")
-    var batched = 0
-    df.toLocalIterator().forEachRemaining { r =>
-      var i = 0
-      while (i < r.length) {
-        r.get(i) match {
-          case null => ps.setObject(i + 1, null)
-          case v: java.sql.Date => ps.setDate(i + 1, v)
-          case v: java.lang.Long => ps.setLong(i + 1, v)
-          case v: java.lang.Integer => ps.setInt(i + 1, v)
-          case v: java.lang.Double => ps.setDouble(i + 1, v)
-          case v => ps.setString(i + 1, v.toString)
-        }
-        i += 1
-      }
-      ps.addBatch(); batched += 1
-      if (batched % 20000 == 0) ps.executeBatch()
-    }
-    ps.executeBatch(); ps.close()
-  }
-
-  private def duckType(t: DataType): String = t match {
-    case LongType => "BIGINT"
-    case IntegerType => "INTEGER"
-    case DoubleType => "DOUBLE"
-    case DateType => "DATE"
-    case StringType => "VARCHAR"
-    case o => throw new IllegalArgumentException(s"unsupported $o")
-  }
+final class DuckBench(tables: Seq[(String, DataFrame)]) {
+  private val conn = DuckDb.connect()
+  DuckDb.exec(conn, "PRAGMA threads=1")
+  for ((name, df) <- tables) DuckDb.load(conn, "main", name, df)
 
   /** Median query wall time (ms); results drained, not inspected. */
   def timeQuery(sql: String, warmup: Int = 1, iters: Int = 3): Double =

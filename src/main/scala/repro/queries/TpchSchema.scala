@@ -104,27 +104,32 @@ object TpchSchema {
       "part" -> partDF)
     // Register temp views so the identical SQL text runs on Spark SQL.
     dfs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
+    columnar(sf, dfs)
+  }
 
+  /** Extracts the engines' columnar tables from `dfs` (one DataFrame per
+    * TPC-H-lite table name).
+    */
+  def columnar(sf: Double, dfs: Map[String, DataFrame]): TpchData =
     TpchData(
       sf = sf,
-      lineitem = Columnar.fromDF(lineitemDF, "lineitem",
+      lineitem = Columnar.fromDF(dfs("lineitem"), "lineitem",
         "l_orderkey" -> Enc.Id, "l_partkey" -> Enc.Id, "l_suppkey" -> Enc.Id,
         "l_quantity_c" -> Enc.Id, "l_extendedprice_c" -> Enc.Id,
         "l_discount_c" -> Enc.Id, "l_tax_c" -> Enc.Id,
         "l_returnflag" -> Enc.Dict, "l_linestatus" -> Enc.Dict, "l_shipdate" -> Enc.Days),
-      orders = Columnar.fromDF(ordersDF, "orders",
+      orders = Columnar.fromDF(dfs("orders"), "orders",
         "o_orderkey" -> Enc.Id, "o_custkey" -> Enc.Id, "o_orderdate" -> Enc.Days,
         "o_shippriority" -> Enc.Id, "o_totalprice_c" -> Enc.Id),
-      customer = Columnar.fromDF(customerDF, "customer",
+      customer = Columnar.fromDF(dfs("customer"), "customer",
         "c_custkey" -> Enc.Id, "c_nationkey" -> Enc.Id, "c_mktsegment" -> Enc.Dict),
-      supplier = Columnar.fromDF(supplierDF, "supplier",
+      supplier = Columnar.fromDF(dfs("supplier"), "supplier",
         "s_suppkey" -> Enc.Id, "s_nationkey" -> Enc.Id),
-      nation = Columnar.fromDF(nationDF, "nation",
+      nation = Columnar.fromDF(dfs("nation"), "nation",
         "n_nationkey" -> Enc.Id, "n_name" -> Enc.Dict),
-      partsupp = Columnar.fromDF(partsuppDF, "partsupp",
+      partsupp = Columnar.fromDF(dfs("partsupp"), "partsupp",
         "ps_partkey" -> Enc.Id, "ps_suppkey" -> Enc.Id, "ps_supplycost_c" -> Enc.Id),
-      part = Columnar.fromDF(partDF, "part",
+      part = Columnar.fromDF(dfs("part"), "part",
         "p_partkey" -> Enc.Id, "p_color" -> Enc.Dict),
       dfs = dfs)
-  }
 }

@@ -1,9 +1,11 @@
 package repro.queries
 
-/** The five TPC-H-lite queries as a single SQL text each, valid on *both*
-  * Spark SQL (typed temp views) and DuckDB (the oracle stores every column
-  * as VARCHAR, hence the explicit casts on every reference — they are no-ops
-  * on Spark's already-typed columns).
+/** The five TPC-H-lite queries as a single SQL text each, run unchanged by
+  * Spark SQL (temp views) and DuckDB (the oracle and Table 2), which both
+  * see the same typed columns. The only casts set an output column's type
+  * (and are mirrored in GROUP BY): dates are returned as strings, and
+  * `o_shippriority` (INTEGER) and `year(...)` as BIGINT, like the engines'
+  * decoded strings and `Long`s.
   *
   * Monetary arithmetic is integer cents throughout (DESIGN.md §5), so all
   * engines agree bit-exactly. Query structure preserves each paper query's
@@ -21,78 +23,69 @@ object TpchSql {
 
   val q1: String = """
     SELECT l_returnflag, l_linestatus,
-           sum(cast(l_quantity_c as bigint))                             AS sum_qty,
-           sum(cast(l_extendedprice_c as bigint))                        AS sum_base,
-           sum(cast(l_extendedprice_c as bigint)
-               * (100 - cast(l_discount_c as bigint)))                   AS sum_disc_price,
-           sum(cast(l_extendedprice_c as bigint)
-               * (100 - cast(l_discount_c as bigint))
-               * (100 + cast(l_tax_c as bigint)))                        AS sum_charge,
+           sum(l_quantity_c)                                             AS sum_qty,
+           sum(l_extendedprice_c)                                        AS sum_base,
+           sum(l_extendedprice_c * (100 - l_discount_c))                 AS sum_disc_price,
+           sum(l_extendedprice_c * (100 - l_discount_c) * (100 + l_tax_c)) AS sum_charge,
            count(*)                                                      AS count_order
     FROM lineitem
-    WHERE cast(l_shipdate as date) <= date '1998-09-02'
+    WHERE l_shipdate <= date '1998-09-02'
     GROUP BY l_returnflag, l_linestatus
   """
 
   val q6: String = """
-    SELECT sum(cast(l_extendedprice_c as bigint)
-               * cast(l_discount_c as bigint)) AS revenue
+    SELECT sum(l_extendedprice_c * l_discount_c) AS revenue
     FROM lineitem
-    WHERE cast(l_shipdate as date) >= date '1994-01-01'
-      AND cast(l_shipdate as date) <  date '1995-01-01'
-      AND cast(l_discount_c as bigint) BETWEEN 5 AND 7
-      AND cast(l_quantity_c as bigint) < 2400
+    WHERE l_shipdate >= date '1994-01-01'
+      AND l_shipdate <  date '1995-01-01'
+      AND l_discount_c BETWEEN 5 AND 7
+      AND l_quantity_c < 2400
   """
 
   val q3: String = """
-    SELECT cast(l_orderkey as bigint)      AS l_orderkey,
+    SELECT l_orderkey,
            cast(o_orderdate as string)     AS o_orderdate,
            cast(o_shippriority as bigint)  AS o_shippriority,
-           sum(cast(l_extendedprice_c as bigint)
-               * (100 - cast(l_discount_c as bigint))) AS revenue
+           sum(l_extendedprice_c * (100 - l_discount_c)) AS revenue
     FROM customer, orders, lineitem
     WHERE c_mktsegment = 'BUILDING'
-      AND cast(c_custkey as bigint) = cast(o_custkey as bigint)
-      AND cast(l_orderkey as bigint) = cast(o_orderkey as bigint)
-      AND cast(o_orderdate as date) < date '1995-03-15'
-      AND cast(l_shipdate as date) > date '1995-03-15'
-    GROUP BY cast(l_orderkey as bigint), cast(o_orderdate as string), cast(o_shippriority as bigint)
+      AND c_custkey = o_custkey
+      AND l_orderkey = o_orderkey
+      AND o_orderdate < date '1995-03-15'
+      AND l_shipdate > date '1995-03-15'
+    GROUP BY l_orderkey, cast(o_orderdate as string), cast(o_shippriority as bigint)
   """
 
   val q9: String = """
-    SELECT n_name                                 AS nation,
-           cast(year(cast(o_orderdate as date)) as bigint) AS o_year,
-           sum(cast(l_extendedprice_c as bigint)
-               * (100 - cast(l_discount_c as bigint))
-               - cast(ps_supplycost_c as bigint)
-               * cast(l_quantity_c as bigint))    AS amount
+    SELECT n_name                               AS nation,
+           cast(year(o_orderdate) as bigint)    AS o_year,
+           sum(l_extendedprice_c * (100 - l_discount_c)
+               - ps_supplycost_c * l_quantity_c) AS amount
     FROM part, supplier, lineitem, partsupp, orders, nation
-    WHERE cast(s_suppkey as bigint)  = cast(l_suppkey as bigint)
-      AND cast(ps_suppkey as bigint) = cast(l_suppkey as bigint)
-      AND cast(ps_partkey as bigint) = cast(l_partkey as bigint)
-      AND cast(p_partkey as bigint)  = cast(l_partkey as bigint)
-      AND cast(o_orderkey as bigint) = cast(l_orderkey as bigint)
-      AND cast(s_nationkey as bigint) = cast(n_nationkey as bigint)
+    WHERE s_suppkey  = l_suppkey
+      AND ps_suppkey = l_suppkey
+      AND ps_partkey = l_partkey
+      AND p_partkey  = l_partkey
+      AND o_orderkey = l_orderkey
+      AND s_nationkey = n_nationkey
       AND p_color = 'green'
-    GROUP BY n_name, cast(year(cast(o_orderdate as date)) as bigint)
+    GROUP BY n_name, cast(year(o_orderdate) as bigint)
   """
 
   val q18: String = s"""
-    SELECT cast(c_custkey as bigint)      AS c_custkey,
-           cast(o_orderkey as bigint)     AS o_orderkey,
-           cast(o_orderdate as string)    AS o_orderdate,
-           cast(o_totalprice_c as bigint) AS o_totalprice_c,
-           sum(cast(l_quantity_c as bigint)) AS sum_qty
+    SELECT c_custkey, o_orderkey,
+           cast(o_orderdate as string) AS o_orderdate,
+           o_totalprice_c,
+           sum(l_quantity_c)           AS sum_qty
     FROM customer, orders, lineitem
-    WHERE cast(o_orderkey as bigint) IN (
-            SELECT cast(l_orderkey as bigint)
+    WHERE o_orderkey IN (
+            SELECT l_orderkey
             FROM lineitem
-            GROUP BY cast(l_orderkey as bigint)
-            HAVING sum(cast(l_quantity_c as bigint)) > $Q18ThresholdCents)
-      AND cast(c_custkey as bigint) = cast(o_custkey as bigint)
-      AND cast(o_orderkey as bigint) = cast(l_orderkey as bigint)
-    GROUP BY cast(c_custkey as bigint), cast(o_orderkey as bigint),
-             cast(o_orderdate as string), cast(o_totalprice_c as bigint)
+            GROUP BY l_orderkey
+            HAVING sum(l_quantity_c) > $Q18ThresholdCents)
+      AND c_custkey = o_custkey
+      AND o_orderkey = l_orderkey
+    GROUP BY c_custkey, o_orderkey, cast(o_orderdate as string), o_totalprice_c
   """
 
   val all: Map[String, String] =

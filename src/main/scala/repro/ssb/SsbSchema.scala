@@ -4,10 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{ColTable, Columnar, Enc}
 import scala.collection.concurrent.TrieMap
 
-/** SSB-lite dataset in DataFrame and columnar engine form, plus the four
-  * query texts (valid on both Spark SQL and the VARCHAR-typed DuckDB
-  * oracle).
-  */
+/** SSB-lite dataset in DataFrame and columnar engine form. */
 final case class SsbDataSet(
     sf: Double,
     lineorder: ColTable, date: ColTable, part: ColTable,
@@ -65,24 +62,27 @@ object SsbSchema {
   }
 }
 
-/** The four SSB-lite query texts (§4.4). */
+/** The four SSB-lite query texts (§4.4), run unchanged by Spark SQL and the
+  * DuckDB oracle over the same typed columns. The one cast returns `d_year`
+  * (INTEGER) as BIGINT like the engines' `Long`s; GROUP BY mirrors it.
+  */
 object SsbSql {
   val q11: String = """
-    SELECT sum(cast(lo_extendedprice_c as bigint) * cast(lo_discount as bigint)) AS revenue
+    SELECT sum(lo_extendedprice_c * lo_discount) AS revenue
     FROM lineorder, date
-    WHERE cast(lo_orderdate as bigint) = cast(d_datekey as bigint)
-      AND cast(d_year as bigint) = 1993
-      AND cast(lo_discount as bigint) BETWEEN 1 AND 3
-      AND cast(lo_quantity as bigint) < 25
+    WHERE lo_orderdate = d_datekey
+      AND d_year = 1993
+      AND lo_discount BETWEEN 1 AND 3
+      AND lo_quantity < 25
   """
 
   val q21: String = """
     SELECT cast(d_year as bigint) AS d_year, p_brand1,
-           sum(cast(lo_revenue_c as bigint)) AS revenue
+           sum(lo_revenue_c) AS revenue
     FROM lineorder, date, part, supplier
-    WHERE cast(lo_orderdate as bigint) = cast(d_datekey as bigint)
-      AND cast(lo_partkey as bigint) = cast(p_partkey as bigint)
-      AND cast(lo_suppkey as bigint) = cast(s_suppkey as bigint)
+    WHERE lo_orderdate = d_datekey
+      AND lo_partkey = p_partkey
+      AND lo_suppkey = s_suppkey
       AND p_category = 'MFGR#12'
       AND s_region = 'AMERICA'
     GROUP BY cast(d_year as bigint), p_brand1
@@ -90,24 +90,24 @@ object SsbSql {
 
   val q31: String = """
     SELECT c_nation, s_nation, cast(d_year as bigint) AS d_year,
-           sum(cast(lo_revenue_c as bigint)) AS revenue
+           sum(lo_revenue_c) AS revenue
     FROM lineorder, date, supplier, customer
-    WHERE cast(lo_orderdate as bigint) = cast(d_datekey as bigint)
-      AND cast(lo_suppkey as bigint) = cast(s_suppkey as bigint)
-      AND cast(lo_custkey as bigint) = cast(c_custkey as bigint)
+    WHERE lo_orderdate = d_datekey
+      AND lo_suppkey = s_suppkey
+      AND lo_custkey = c_custkey
       AND c_region = 'ASIA' AND s_region = 'ASIA'
-      AND cast(d_year as bigint) BETWEEN 1992 AND 1997
+      AND d_year BETWEEN 1992 AND 1997
     GROUP BY c_nation, s_nation, cast(d_year as bigint)
   """
 
   val q41: String = """
     SELECT cast(d_year as bigint) AS d_year, c_nation,
-           sum(cast(lo_revenue_c as bigint) - cast(lo_supplycost_c as bigint)) AS profit
+           sum(lo_revenue_c - lo_supplycost_c) AS profit
     FROM lineorder, date, part, supplier, customer
-    WHERE cast(lo_orderdate as bigint) = cast(d_datekey as bigint)
-      AND cast(lo_partkey as bigint) = cast(p_partkey as bigint)
-      AND cast(lo_suppkey as bigint) = cast(s_suppkey as bigint)
-      AND cast(lo_custkey as bigint) = cast(c_custkey as bigint)
+    WHERE lo_orderdate = d_datekey
+      AND lo_partkey = p_partkey
+      AND lo_suppkey = s_suppkey
+      AND lo_custkey = c_custkey
       AND c_region = 'AMERICA' AND s_region = 'AMERICA'
       AND p_mfgr IN ('MFGR#1', 'MFGR#2')
     GROUP BY cast(d_year as bigint), c_nation

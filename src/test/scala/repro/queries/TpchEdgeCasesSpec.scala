@@ -1,0 +1,55 @@
+package repro.queries
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import repro.{Oracle, SparkSpec}
+import repro.volcano.VolcanoTpch
+
+/** Differential checks on edge-case instances derived from the SF 0.005
+  * data set: Typer, Tectorwise and DuckDB (plus Volcano for q1/q6) must
+  * agree on every query, at 1 and 4 workers, when lineitem is empty, and when the predicate
+  * constants of q3 (`BUILDING`) and q9 (`green`) are missing from the
+  * dictionaries, so `code()` returns -1.
+  */
+class TpchEdgeCasesSpec extends SparkSpec {
+  private lazy val base = TpchSchema.load(spark, 0.005)
+  private lazy val tw = Engines.tw()
+
+  private def instance(changed: (String, DataFrame)*): TpchData =
+    TpchSchema.columnar(base.sf, base.dfs ++ changed)
+
+  private lazy val emptyLineitem = instance("lineitem" -> base.df("lineitem").limit(0))
+  private lazy val dictMisses = instance(
+    "customer" -> base.df("customer").filter(col("c_mktsegment") =!= "BUILDING"),
+    "part"     -> base.df("part").filter(col("p_color") =!= "green"))
+
+  test("the instances are what their names say") {
+    assert(emptyLineitem.lineitem.numRows == 0)
+    assert(emptyLineitem.orders.numRows == base.orders.numRows)
+    assert(dictMisses.code(dictMisses.customer, "c_mktsegment", "BUILDING") == -1)
+    assert(dictMisses.code(dictMisses.part, "p_color", "green") == -1)
+    assert(dictMisses.customer.numRows > 0 && dictMisses.part.numRows > 0)
+  }
+
+  for ((label, data) <- Seq[(String, () => TpchData)](
+         "empty lineitem" -> (() => emptyLineitem),
+         "dictionary misses" -> (() => dictMisses));
+       q <- Engines.queryNames) {
+    test(s"$label: $q agrees across Typer, Tectorwise and DuckDB") {
+      val d = data()
+      val typerOut = Engines.typer(q)(d, 1, null)
+      val twOut = tw(q)(d, 1, null)
+      assert(twOut.canon == typerOut.canon)
+      assert(Engines.typer(q)(d, 4, null).canon == typerOut.canon)
+      assert(tw(q)(d, 4, null).canon == typerOut.canon)
+      val tables = d.tablesFor(TpchSql.tables(q): _*)
+      Oracle.assertEquivalent(typerOut.toDF(spark), TpchSql.all(q), tables: _*)
+      Oracle.assertEquivalent(twOut.toDF(spark), TpchSql.all(q), tables: _*)
+      q match {
+        case "q1" => assert(VolcanoTpch.q1(d, null).canon == typerOut.canon)
+        case "q6" => assert(VolcanoTpch.q6(d, null).canon == typerOut.canon)
+        case _    =>
+      }
+    }
+  }
+}

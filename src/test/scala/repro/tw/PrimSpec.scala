@@ -57,15 +57,6 @@ class PrimSpec extends AnyFunSuite {
     assert(s3.a.take(s3.n).toSeq == expect)
   }
 
-  test("selGtCSel and selEqCSel filter through an input vector") {
-    val s1 = sel(); val s2 = sel(); val s3 = sel()
-    Prim.selGeC(col, 0, N, Long.MinValue, s1, null) // all rows
-    Prim.selGtCSel(col, 0, s1, 42L, s2, null)
-    assert(s2.a.take(s2.n).toSeq == refSel(0, N, _ > 42))
-    Prim.selEqCSel(col, 0, s1, 0L, s3, null)
-    assert(s3.a.take(s3.n).toSeq == refSel(0, N, _ == 0))
-  }
-
   test("secondary selection with profiler matches unprofiled") {
     val s1 = sel(); val s2 = sel(); val s2p = sel()
     Prim.selGeC(col, 0, N, 0L, s1, null)
