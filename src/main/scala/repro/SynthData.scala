@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -18,10 +18,22 @@ object SynthData {
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
+  /** Partitions of every generated range. `rand(seed)` seeds each partition
+    * with `seed + partitionIndex`, so a count taken from the session's
+    * default parallelism would make the data depend on the core count.
+    */
+  private val Slices = 4
+
+  /** `spark.range(start, end)` in `Slices` partitions; every generator, here
+    * and in [[repro.ssb.SsbData]], draws its rows from it.
+    */
+  private[repro] def range(spark: SparkSession, start: Long, end: Long): Dataset[java.lang.Long] =
+    spark.range(start, end, 1, Slices)
+
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
+    range(spark, 0, n(NLineitemPerSf, sf)).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
       (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
       (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
@@ -41,7 +53,7 @@ object SynthData {
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+    range(spark, 1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
       $"o_orderkey",
       (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
@@ -54,7 +66,7 @@ object SynthData {
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
+    range(spark, 1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
       $"c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
@@ -66,7 +78,7 @@ object SynthData {
 
   def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
+    range(spark, 1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
       $"p_partkey",
       element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
                        lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
@@ -97,7 +109,7 @@ object SynthData {
   /** Supplier dimension: s_suppkey, s_nationkey (Q9 substrate). */
   def supplier(spark: SparkSession, sf: Double = 0.01, seed: Long = 6): DataFrame = {
     import spark.implicits._
-    spark.range(1, numSuppliers(sf) + 1).toDF("s_suppkey").select(
+    range(spark, 1, numSuppliers(sf) + 1).toDF("s_suppkey").select(
       $"s_suppkey",
       pmod($"s_suppkey" * 7 + seed, lit(25)).cast(IntegerType) as "s_nationkey",
     )
@@ -111,7 +123,7 @@ object SynthData {
       "GERMANY", "INDIA", "INDONESIA", "IRAN", "IRAQ", "JAPAN", "JORDAN", "KENYA",
       "MOROCCO", "MOZAMBIQUE", "PERU", "CHINA", "ROMANIA", "SAUDI ARABIA",
       "VIETNAM", "RUSSIA", "UNITED KINGDOM", "UNITED STATES")
-    spark.range(0, 25).toDF("n_nationkey").select(
+    range(spark, 0, 25).toDF("n_nationkey").select(
       $"n_nationkey".cast(IntegerType) as "n_nationkey",
       element_at(array(names.map(lit).toIndexedSeq: _*), ($"n_nationkey" + 1).cast("int")) as "n_name",
     )
@@ -121,7 +133,7 @@ object SynthData {
   def partsupp(spark: SparkSession, sf: Double = 0.01): DataFrame = {
     import spark.implicits._
     val nSupp = numSuppliers(sf)
-    spark.range(n(NPartPerSf, sf) * SuppliersPerPart).select(
+    range(spark, 0, n(NPartPerSf, sf) * SuppliersPerPart).select(
       (($"id" / SuppliersPerPart).cast(LongType) + 1)             as "ps_partkey",
       suppOfPart(($"id" / SuppliersPerPart).cast(LongType) + 1,
                  pmod($"id", lit(SuppliersPerPart)), nSupp)       as "ps_suppkey",
@@ -135,7 +147,7 @@ object SynthData {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
+    range(spark, 0, rows).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
@@ -146,7 +158,7 @@ object SynthData {
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
     import spark.implicits._
-    spark.range(rows).select(
+    range(spark, 0, rows).select(
       (rand(seed) * nKeys + 1).cast(LongType) as "k",
       rand(seed + 1)                          as "v",
     )

@@ -154,7 +154,4 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
     if (p ne null) p.load(heapAddr + 8L * (e * stride + 2 + i))
     heap(e * stride + 2 + i)
   }
-
-  /** Synthetic address of an entry slot (for caller-side accounting). */
-  def slotAddr(e: Int, i: Int): Long = heapAddr + 8L * (e * stride + 2 + i)
 }

@@ -9,9 +9,8 @@ import repro.queries.{Engines, TpchSchema}
   * SF=100. Here every base-table morsel is charged against a shared
   * fixed-bandwidth [[Throttle]] before processing (DESIGN.md substitution);
   * the bandwidth is scaled to our lite data so that scan time : compute time
-  * lands in the paper's regime. The real on-disk columnar format is
-  * exercised separately by `repro.storage` tests and the verification row at
-  * the bottom of this table.
+  * lands in the paper's regime. No table is read from disk: the throttle
+  * alone sets the scan bandwidth, which is the mechanism the table measures.
   */
 object Table5Exp {
 

@@ -3,6 +3,7 @@ package repro.ssb
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.SynthData
 
 /** SSB-lite synthetic generator (paper §4.4 runs SSB Q1.1/Q2.1/Q3.1/Q4.1).
   *
@@ -42,7 +43,7 @@ object SsbData {
   /** Date dimension: one row per day of 1992-01-01 … +2556 days. */
   def date(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    spark.range(0, NumDates).select(
+    SynthData.range(spark, 0, NumDates).select(
       ($"id" + DateBase)                                          as "d_datekey",
       year(date_add(lit("1992-01-01").cast(DateType), $"id".cast("int"))) as "d_year",
     )
@@ -55,7 +56,7 @@ object SsbData {
     val mfgr = pmod($"p_partkey", lit(5)) + 1
     val cat  = pmod(($"p_partkey" / 5).cast(LongType), lit(5)) + 1
     val brand = pmod(($"p_partkey" / 25).cast(LongType), lit(40)) + 1
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
+    SynthData.range(spark, 1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
       $"p_partkey",
       concat(lit("MFGR#"), mfgr.cast(StringType))                         as "p_mfgr",
       concat(lit("MFGR#"), mfgr.cast(StringType), cat.cast(StringType))   as "p_category",
@@ -66,13 +67,13 @@ object SsbData {
 
   def supplier(spark: SparkSession, sf: Double = 0.01): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NSupplierPerSf, sf) + 1).toDF("s_suppkey")
+    SynthData.range(spark, 1, n(NSupplierPerSf, sf) + 1).toDF("s_suppkey")
       .select(($"s_suppkey" +: geoCols("s", $"s_suppkey", 3)): _*)
   }
 
   def customer(spark: SparkSession, sf: Double = 0.01): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey")
+    SynthData.range(spark, 1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey")
       .select(($"c_custkey" +: geoCols("c", $"c_custkey", 5)): _*)
   }
 
@@ -80,7 +81,7 @@ object SsbData {
     import spark.implicits._
     val nPart = n(NPartPerSf, sf); val nSupp = n(NSupplierPerSf, sf)
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(n(NLineorderPerSf, sf)).select(
+    SynthData.range(spark, 0, n(NLineorderPerSf, sf)).select(
       ($"id" + 1)                                         as "lo_orderkey",
       (rand(seed) * NumDates).cast(LongType) + DateBase   as "lo_orderdate",
       (rand(seed + 1) * nPart + 1).cast(LongType)         as "lo_partkey",

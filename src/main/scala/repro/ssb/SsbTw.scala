@@ -1,12 +1,9 @@
 package repro.ssb
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut}
-import repro.queries.QueryOut.L
+import repro.queries.QueryOut
+import repro.ssb.SsbPlans.DimBuild
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise (vectorized) implementations of SSB Q1.1/Q2.1/Q3.1/Q4.1:
   * primitive-based dimension builds, then probe cascades over lineorder with
@@ -15,12 +12,12 @@ import scala.jdk.CollectionConverters._
   */
 object SsbTw {
 
-  /** Vectorized dimension build: optional single/range/two-value filter on
-    * one column, then gather + hash + insert primitives per batch.
+  /** Run dimension build `b` vectorized: the filter as one equality or two
+    * range selection primitives, then gather + hash + insert per batch.
     */
-  private def buildDimVec(ht: HashTable, disp: Morsel.Dispenser, vecSize: Int,
-                          key: LongCol, payload: Array[LongCol],
-                          filterCol: LongCol, lo: Long, hi: Long, p: Prof): Unit = {
+  private def buildDimVec(b: DimBuild, vecSize: Int, p: Prof): Unit = {
+    val ht = b.ht; val disp = b.disp; val key = b.key; val payload = b.payload
+    val filterCol = b.filter; val lo = b.lo; val hi = b.hi
     val sel = new Sel(vecSize); val sel2 = new Sel(vecSize)
     val kV = new Vec(vecSize); val hV = new Vec(vecSize)
     val pV = payload.map(_ => new Vec(vecSize))
@@ -58,17 +55,13 @@ object SsbTw {
     }
   }
 
-  def q11(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date
-    val loDate = lo("lo_orderdate"); val loDisc = lo("lo_discount")
-    val loQty = lo("lo_quantity"); val loEp = lo("lo_extendedprice_c")
-    val htD = new HashTable(1, dd.numRows)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val total = new LongAdder; val matched = new AtomicLong(0)
-
+  def q11(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new SsbPlans.Q11(d)
     Morsel.run(threads) { ctx =>
-      buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array.empty, dd("d_year"), 1993, 1993, p)
+      val loDate = plan.loDate; val loDisc = plan.loDisc
+      val loQty = plan.loQty; val loEp = plan.loEp
+      val htD = plan.dimD.ht; val dispL = plan.dispL
+      buildDimVec(plan.dimD, vecSize, p)
       ctx.barrier()
       val s1 = new Sel(vecSize); val s2 = new Sel(vecSize); val s3 = new Sel(vecSize)
       val dkV = new Vec(vecSize); val hV = new Vec(vecSize)
@@ -102,37 +95,23 @@ object SsbTw {
         }
         m = dispL.next()
       }
-      total.add(sum); matched.addAndGet(hits)
-      ()
+      plan.add(sum, hits)
     }
-    QueryOut(Vector(OutCol("revenue")),
-      Vector(Array[Any](if (matched.get == 0) null else L(total.sum))))
+    plan.result
   }
 
-  def q21(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part; val su = d.supplier
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loRev = lo("lo_revenue_c")
-    val catCode = d.code(pt, "p_category", "MFGR#12")
-    val regCode = d.code(su, "s_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(2, pt.numRows, pt.numRows / 16)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def q21(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new SsbPlans.Q21(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, p)
-      buildDimVec(htP, dispP, vecSize, pt("p_partkey"), Array(pt("p_brand1")),
-                  pt("p_category"), catCode, catCode, p)
-      buildDimVec(htS, dispS, vecSize, su("s_suppkey"), Array.empty,
-                  su("s_region"), regCode, regCode, p)
+      val loDate = plan.loDate; val loPart = plan.loPart
+      val loSupp = plan.loSupp; val loRev = plan.loRev
+      val htD = plan.dimD.ht; val htP = plan.dimP.ht; val htS = plan.dimS.ht
+      val dispL = plan.dispL
+      buildDimVec(plan.dimD, vecSize, p)
+      buildDimVec(plan.dimP, vecSize, p)
+      buildDimVec(plan.dimS, vecSize, p)
       ctx.barrier()
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val probeP = new TWProbe(htP, 1, vecSize)
       val probeS = new TWProbe(htS, 1, vecSize)
       val probeD = new TWProbe(htD, 1, vecSize)
@@ -178,40 +157,23 @@ object SsbTw {
         m = dispL.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), pt("p_brand1").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("p_brand1", isString = true), OutCol("revenue")),
-             out.asScala.toVector)
+    plan.result
   }
 
-  def q31(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loSupp = lo("lo_suppkey")
-    val loCust = lo("lo_custkey"); val loRev = lo("lo_revenue_c")
-    val sAsia = d.code(su, "s_region", "ASIA")
-    val cAsia = d.code(cu, "c_region", "ASIA")
-    val htD = new HashTable(2, dd.numRows)
-    val htS = new HashTable(2, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def q31(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new SsbPlans.Q31(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), dd("d_year"), 1992, 1997, p)
-      buildDimVec(htS, dispS, vecSize, su("s_suppkey"), Array(su("s_nation")), su("s_region"), sAsia, sAsia, p)
-      buildDimVec(htC, dispC, vecSize, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cAsia, cAsia, p)
+      val loDate = plan.loDate; val loSupp = plan.loSupp
+      val loCust = plan.loCust; val loRev = plan.loRev
+      val htD = plan.dimD.ht; val htS = plan.dimS.ht; val htC = plan.dimC.ht
+      val dispL = plan.dispL
+      buildDimVec(plan.dimD, vecSize, p)
+      buildDimVec(plan.dimS, vecSize, p)
+      buildDimVec(plan.dimC, vecSize, p)
       ctx.barrier()
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val probeC = new TWProbe(htC, 1, vecSize)
       val probeS = new TWProbe(htS, 1, vecSize)
       val probeD = new TWProbe(htD, 1, vecSize)
@@ -262,47 +224,25 @@ object SsbTw {
         m = dispL.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](cu("c_nation").dict(fin.key(e, 0).toInt),
-                           su("s_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("c_nation", isString = true), OutCol("s_nation", isString = true),
-                    OutCol("d_year"), OutCol("revenue")),
-             out.asScala.toVector)
+    plan.result
   }
 
-  def q41(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part
-    val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loCust = lo("lo_custkey")
-    val loRev = lo("lo_revenue_c"); val loCost = lo("lo_supplycost_c")
-    val m1c = d.code(pt, "p_mfgr", "MFGR#1"); val m2c = d.code(pt, "p_mfgr", "MFGR#2")
-    val sAm = d.code(su, "s_region", "AMERICA")
-    val cAm = d.code(cu, "c_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 2)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def q41(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new SsbPlans.Q41(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, p)
+      val loDate = plan.loDate; val loPart = plan.loPart
+      val loSupp = plan.loSupp; val loCust = plan.loCust
+      val loRev = plan.loRev; val loCost = plan.loCost
+      val m1c = plan.mfgr1; val m2c = plan.mfgr2
+      val htD = plan.dimD.ht; val htP = plan.htP; val htS = plan.dimS.ht; val htC = plan.dimC.ht
+      val dispP = plan.dispP; val dispL = plan.dispL
+      buildDimVec(plan.dimD, vecSize, p)
       // part: two-constant IN primitive
       locally {
         val sel = new Sel(vecSize); val kV = new Vec(vecSize); val hV = new Vec(vecSize)
-        val key = pt("p_partkey"); val mf = pt("p_mfgr")
+        val key = plan.pKey; val mf = plan.pMfgr
         var m = dispP.next()
         while (m != null) {
           var base = m.startI
@@ -319,10 +259,10 @@ object SsbTw {
           m = dispP.next()
         }
       }
-      buildDimVec(htS, dispS, vecSize, su("s_suppkey"), Array.empty, su("s_region"), sAm, sAm, p)
-      buildDimVec(htC, dispC, vecSize, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cAm, cAm, p)
+      buildDimVec(plan.dimS, vecSize, p)
+      buildDimVec(plan.dimC, vecSize, p)
       ctx.barrier()
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val probeC = new TWProbe(htC, 1, vecSize)
       val probeS = new TWProbe(htS, 1, vecSize)
       val probeP = new TWProbe(htP, 1, vecSize)
@@ -383,16 +323,9 @@ object SsbTw {
         m = dispL.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), cu("c_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("c_nation", isString = true), OutCol("profit")),
-             out.asScala.toVector)
+    plan.result
   }
 
   def all(vecSize: Int = 1024): Map[String, (SsbDataSet, Int, Prof) => QueryOut] = Map(

@@ -1,12 +1,9 @@
 package repro.ssb
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut}
-import repro.queries.QueryOut.L
+import repro.queries.QueryOut
+import repro.ssb.SsbPlans.DimBuild
 import repro.typer.TyperOps
-import scala.jdk.CollectionConverters._
 
 /** Typer (fused data-centric) implementations of SSB Q1.1/Q2.1/Q3.1/Q4.1
   * (§4.4): filtered dimension builds, then one fused probe loop over
@@ -20,12 +17,10 @@ object SsbTyper {
   private val sCat = BranchSim.site(); private val sReg = BranchSim.site()
   private val sMfgr = BranchSim.site()
 
-  /** Build a (key → payload…) HT from dimension columns with an optional
-    * equality/range filter on one column; fused single loop.
-    */
-  private def buildDim(ht: HashTable, disp: Morsel.Dispenser, key: LongCol,
-                       payload: Array[LongCol], filterCol: LongCol, lo: Long, hi: Long,
-                       site: Int, p: Prof): Unit = {
+  /** Run dimension build `b` as one fused loop; `site` is its filter branch. */
+  private def buildDim(b: DimBuild, site: Int, p: Prof): Unit = {
+    val ht = b.ht; val disp = b.disp; val key = b.key; val payload = b.payload
+    val filterCol = b.filter; val lo = b.lo; val hi = b.hi
     if (p ne null) p.enterLoop(22 + 2 * payload.length)
     var m = disp.next()
     while (m != null) {
@@ -59,16 +54,12 @@ object SsbTyper {
   }
 
   def q11(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date
-    val loDate = lo("lo_orderdate"); val loDisc = lo("lo_discount")
-    val loQty = lo("lo_quantity"); val loEp = lo("lo_extendedprice_c")
-    val htD = new HashTable(1, dd.numRows)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val total = new LongAdder; val matched = new AtomicLong(0)
-
+    val plan = new SsbPlans.Q11(d)
     Morsel.run(threads) { ctx =>
-      buildDim(htD, dispD, dd("d_datekey"), Array.empty, dd("d_year"), 1993, 1993, sYear, p)
+      val lo = plan.lo; val loDate = plan.loDate; val loDisc = plan.loDisc
+      val loQty = plan.loQty; val loEp = plan.loEp
+      val htD = plan.dimD.ht; val dispL = plan.dispL
+      buildDim(plan.dimD, sYear, p)
       ctx.barrier()
       var sum = 0L; var hits = 0L
       if (p ne null) p.enterLoop(40)
@@ -105,37 +96,23 @@ object SsbTyper {
         m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
-      total.add(sum); matched.addAndGet(hits)
-      ()
+      plan.add(sum, hits)
     }
-    QueryOut(Vector(OutCol("revenue")),
-      Vector(Array[Any](if (matched.get == 0) null else L(total.sum))))
+    plan.result
   }
 
   def q21(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part; val su = d.supplier
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loRev = lo("lo_revenue_c")
-    val catCode = d.code(pt, "p_category", "MFGR#12")
-    val regCode = d.code(su, "s_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)   // datekey → year
-    val htP = new HashTable(2, pt.numRows, pt.numRows / 16)   // partkey → brand1
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new SsbPlans.Q21(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, 0, p)
-      buildDim(htP, dispP, pt("p_partkey"), Array(pt("p_brand1")),
-               pt("p_category"), catCode, catCode, sCat, p)
-      buildDim(htS, dispS, su("s_suppkey"), Array.empty,
-               su("s_region"), regCode, regCode, sReg, p)
+      val lo = plan.lo; val loDate = plan.loDate; val loPart = plan.loPart
+      val loSupp = plan.loSupp; val loRev = plan.loRev
+      val htD = plan.dimD.ht; val htP = plan.dimP.ht; val htS = plan.dimS.ht
+      val dispL = plan.dispL
+      buildDim(plan.dimD, 0, p)
+      buildDim(plan.dimP, sCat, p)
+      buildDim(plan.dimS, sReg, p)
       ctx.barrier()
-      val agg = shared.local(ctx.workerId)
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(90)
       var m = dispL.next()
@@ -171,40 +148,23 @@ object SsbTyper {
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), pt("p_brand1").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("p_brand1", isString = true), OutCol("revenue")),
-             out.asScala.toVector)
+    plan.result
   }
 
   def q31(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loSupp = lo("lo_suppkey")
-    val loCust = lo("lo_custkey"); val loRev = lo("lo_revenue_c")
-    val sReg2 = d.code(su, "s_region", "ASIA")
-    val cReg2 = d.code(cu, "c_region", "ASIA")
-    val htD = new HashTable(2, dd.numRows)   // datekey → year (filtered 92..97)
-    val htS = new HashTable(2, su.numRows, su.numRows / 4)   // suppkey → nation
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)   // custkey → nation
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new SsbPlans.Q31(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), dd("d_year"), 1992, 1997, sYear, p)
-      buildDim(htS, dispS, su("s_suppkey"), Array(su("s_nation")), su("s_region"), sReg2, sReg2, sReg, p)
-      buildDim(htC, dispC, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cReg2, cReg2, sReg, p)
+      val lo = plan.lo; val loDate = plan.loDate; val loSupp = plan.loSupp
+      val loCust = plan.loCust; val loRev = plan.loRev
+      val htD = plan.dimD.ht; val htS = plan.dimS.ht; val htC = plan.dimC.ht
+      val dispL = plan.dispL
+      buildDim(plan.dimD, sYear, p)
+      buildDim(plan.dimS, sReg, p)
+      buildDim(plan.dimC, sReg, p)
       ctx.barrier()
-      val agg = shared.local(ctx.workerId)
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](3)
       if (p ne null) p.enterLoop(95)
       var m = dispL.next()
@@ -242,46 +202,24 @@ object SsbTyper {
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](cu("c_nation").dict(fin.key(e, 0).toInt),
-                           su("s_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("c_nation", isString = true), OutCol("s_nation", isString = true),
-                    OutCol("d_year"), OutCol("revenue")),
-             out.asScala.toVector)
+    plan.result
   }
 
   def q41(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part
-    val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loCust = lo("lo_custkey")
-    val loRev = lo("lo_revenue_c"); val loCost = lo("lo_supplycost_c")
-    val m1 = d.code(pt, "p_mfgr", "MFGR#1"); val m2 = d.code(pt, "p_mfgr", "MFGR#2")
-    val sAm = d.code(su, "s_region", "AMERICA")
-    val cAm = d.code(cu, "c_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 2)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new SsbPlans.Q41(d, threads)
     Morsel.run(threads) { ctx =>
-      buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, 0, p)
+      val lo = plan.lo; val pt = plan.pt; val loDate = plan.loDate; val loPart = plan.loPart
+      val loSupp = plan.loSupp; val loCust = plan.loCust
+      val loRev = plan.loRev; val loCost = plan.loCost
+      val m1 = plan.mfgr1; val m2 = plan.mfgr2
+      val htD = plan.dimD.ht; val htP = plan.htP; val htS = plan.dimS.ht; val htC = plan.dimC.ht
+      val dispP = plan.dispP; val dispL = plan.dispL
+      buildDim(plan.dimD, 0, p)
       // part: mfgr IN (m1, m2) — fused loop with a two-way equality
       locally {
-        val key = pt("p_partkey"); val mf = pt("p_mfgr")
+        val key = plan.pKey; val mf = plan.pMfgr
         if (p ne null) p.enterLoop(24)
         var m = dispP.next()
         while (m != null) {
@@ -302,10 +240,10 @@ object SsbTyper {
         }
         if (p ne null) { p.loop(pt.numRows); p.exitLoop() }
       }
-      buildDim(htS, dispS, su("s_suppkey"), Array.empty, su("s_region"), sAm, sAm, sReg, p)
-      buildDim(htC, dispC, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cAm, cAm, sReg, p)
+      buildDim(plan.dimS, sReg, p)
+      buildDim(plan.dimC, sReg, p)
       ctx.barrier()
-      val agg = shared.local(ctx.workerId)
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(110)
       var m = dispL.next()
@@ -349,16 +287,9 @@ object SsbTyper {
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), cu("c_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("c_nation", isString = true), OutCol("profit")),
-             out.asScala.toVector)
+    plan.result
   }
 
   val all: Map[String, (SsbDataSet, Int, Prof) => QueryOut] = Map(

@@ -1,11 +1,8 @@
 package repro.tw.queries
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise TPC-H Q1: per batch — date selection primitive, six gathers,
   * hash primitives, group lookup, four arithmetic map primitives, five
@@ -15,20 +12,13 @@ import scala.jdk.CollectionConverters._
   */
 object TwQ1 {
 
-  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val rf = li("l_returnflag"); val ls = li("l_linestatus")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
-    val disc = li("l_discount_c"); val tax = li("l_tax_c")
-    val cutoff = TpchConsts.q1Cutoff
-
-    val shared = new SharedAgg(2, 5,
-      Array(AggOp.Sum, AggOp.Sum, AggOp.Sum, AggOp.Sum, AggOp.Sum), threads, 16)
-    val disp = Morsel.scanDispenser(li, 7)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new TpchPlans.Q1(d, threads)
     Morsel.run(threads) { ctx =>
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val sd = plan.sd; val rf = plan.rf; val ls = plan.ls
+      val qty = plan.qty; val ep = plan.ep; val disc = plan.disc; val tax = plan.tax
+      val disp = plan.disp; val cutoff = TpchConsts.q1Cutoff
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val sel = new Sel(vecSize)
       val rfV = new Vec(vecSize); val lsV = new Vec(vecSize)
       val qtyV = new Vec(vecSize); val epV = new Vec(vecSize)
@@ -68,16 +58,8 @@ object TwQ1 {
         m = disp.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          rf.dict(fin.key(e, 0).toInt), ls.dict(fin.key(e, 1).toInt),
-          L(fin.value(e, 0)), L(fin.value(e, 1)), L(fin.value(e, 2)),
-          L(fin.value(e, 3)), L(fin.value(e, 4))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(repro.typer.TyperQ1.schema, out.asScala.toVector)
+    plan.result
   }
 }

@@ -1,11 +1,8 @@
 package repro.tw.queries
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise TPC-H Q18 (lite): vectorized high-cardinality aggregation of
   * lineitem by orderkey (the §4.1 bottleneck), HAVING filter re-vectorized
@@ -13,24 +10,14 @@ import scala.jdk.CollectionConverters._
   */
 object TwQ18 {
 
-  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oTotal = or("o_totalprice_c")
-    val lOrd = li("l_orderkey"); val lQty = li("l_quantity_c")
-    val threshold = TpchConsts.q18Threshold
-
-    val shared = new SharedAgg(1, 1, Array(AggOp.Sum), threads,
-      or.numRows / math.max(1, threads) + 16)
-    val htQual = new HashTable(2, or.numRows, or.numRows / 32 + 16)
-    val htC = new HashTable(1, cu.numRows)
-    val dispL = Morsel.scanDispenser(li, 2)
-    val dispC = Morsel.scanDispenser(cu, 1)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new TpchPlans.Q18(d, threads)
     Morsel.run(threads) { ctx =>
+      val cKey = plan.cKey; val oKey = plan.oKey; val oCust = plan.oCust
+      val oDate = plan.oDate; val oTotal = plan.oTotal; val lOrd = plan.lOrd; val lQty = plan.lQty
+      val threshold = TpchConsts.q18Threshold
+      val shared = plan.shared; val htQual = plan.htQual; val htC = plan.htC
+      val dispL = plan.dispL; val dispC = plan.dispC; val dispO = plan.dispO
       val kV = new Vec(vecSize); val qV = new Vec(vecSize); val hV = new Vec(vecSize)
       // 1. lineitem → per-worker aggregation by orderkey
       val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
@@ -115,9 +102,7 @@ object TwQ18 {
               Prim.gather(oTotal, base, selB, otV, p)
               var i = 0
               while (i < m2) {
-                out.add(Array[Any](
-                  L(mocV.a(i)), L(mokV.a(i)), oDate.decodeValue(odV.a(i)),
-                  L(otV.a(i)), L(sumV2.a(i))))
+                plan.emit(mocV.a(i), mokV.a(i), odV.a(i), otV.a(i), sumV2.a(i))
                 i += 1
               }
             }
@@ -127,6 +112,6 @@ object TwQ18 {
         m = dispO.next()
       }
     }
-    QueryOut(repro.typer.TyperQ18.schema, out.asScala.toVector)
+    plan.result
   }
 }

@@ -1,11 +1,8 @@
 package repro.tw.queries
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise TPC-H Q3: vectorized build of HT(custkey) and
   * HT(orderkey → date, prio), then the Fig. 2b probe loop over lineitem and
@@ -13,25 +10,15 @@ import scala.jdk.CollectionConverters._
   */
 object TwQ3 {
 
-  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey"); val cSeg = cu("c_mktsegment")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oPrio = or("o_shippriority")
-    val lKey = li("l_orderkey"); val lDate = li("l_shipdate")
-    val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val segCode = d.code(cu, "c_mktsegment", TpchConsts.q3Segment)
-    val cutoff = TpchConsts.q3Date
-
-    val htC = new HashTable(1, cu.numRows, cu.numRows / 4)
-    val htO = new HashTable(3, or.numRows, or.numRows / 2)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val dispC = Morsel.scanDispenser(cu, 2)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val dispL = Morsel.scanDispenser(li, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new TpchPlans.Q3(d, threads)
     Morsel.run(threads) { ctx =>
+      val cKey = plan.cKey; val cSeg = plan.cSeg
+      val oKey = plan.oKey; val oCust = plan.oCust; val oDate = plan.oDate; val oPrio = plan.oPrio
+      val lKey = plan.lKey; val lDate = plan.lDate; val lEp = plan.lEp; val lDisc = plan.lDisc
+      val segCode = plan.segCode; val cutoff = TpchConsts.q3Date
+      val htC = plan.htC; val htO = plan.htO
+      val dispC = plan.dispC; val dispO = plan.dispO; val dispL = plan.dispL
       val sel = new Sel(vecSize)
       val kV = new Vec(vecSize); val hV = new Vec(vecSize)
 
@@ -87,7 +74,7 @@ object TwQ3 {
       ctx.barrier()
 
       // Pipeline 3: lineitem ⋈ HT_o → vectorized group-by
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val probeO = new TWProbe(htO, 1, vecSize)
       val lkV = new Vec(vecSize); val epV = new Vec(vecSize); val discV = new Vec(vecSize)
       val mlkV = new Vec(vecSize); val mepV = new Vec(vecSize); val mdiscV = new Vec(vecSize)
@@ -125,15 +112,8 @@ object TwQ3 {
         m = dispL.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          L(fin.key(e, 0)), oDate.decodeValue(fin.key(e, 1)),
-          L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(repro.typer.TyperQ3.schema, out.asScala.toVector)
+    plan.result
   }
 }

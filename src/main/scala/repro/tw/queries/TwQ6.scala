@@ -1,9 +1,7 @@
 package repro.tw.queries
 
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 import repro.tw._
 
 /** Tectorwise TPC-H Q6: a cascade of five selection primitives — the first
@@ -13,17 +11,13 @@ import repro.tw._
   */
 object TwQ6 {
 
-  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val disc = li("l_discount_c")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
+  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new TpchPlans.Q6(d)
     import TpchConsts._
 
-    val total = new LongAdder
-    val matched = new AtomicLong(0)
-    val disp = Morsel.scanDispenser(li, 4)
-
     Morsel.run(threads) { ctx =>
+      val sd = plan.sd; val disc = plan.disc
+      val qty = plan.qty; val ep = plan.ep; val disp = plan.disp
       val s1 = new Sel(vecSize); val s2 = new Sel(vecSize); val s3 = new Sel(vecSize)
       val s4 = new Sel(vecSize); val s5 = new Sel(vecSize)
       val epV = new Vec(vecSize); val discV = new Vec(vecSize); val revV = new Vec(vecSize)
@@ -50,11 +44,8 @@ object TwQ6 {
         }
         m = disp.next()
       }
-      total.add(sum)
-      matched.addAndGet(hits)
-      ()
+      plan.add(sum, hits)
     }
-    val row: Array[Any] = Array(if (matched.get == 0) null else L(total.sum))
-    QueryOut(Vector(OutCol("revenue")), Vector(row))
+    plan.result
   }
 }

@@ -1,11 +1,8 @@
 package repro.tw.queries
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchData, TpchPlans}
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise TPC-H Q9 (lite): vectorized builds of five hash tables, then a
   * cascade of five probe operators over lineitem with selection-vector
@@ -14,33 +11,19 @@ import scala.jdk.CollectionConverters._
   */
 object TwQ9 {
 
-  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val pt = d.part; val su = d.supplier; val na = d.nation
-    val ps = d.partsupp; val or = d.orders; val li = d.lineitem
-    val pKey = pt("p_partkey"); val pColor = pt("p_color")
-    val sKey = su("s_suppkey"); val sNat = su("s_nationkey")
-    val nKey = na("n_nationkey"); val nName = na("n_name")
-    val psP = ps("ps_partkey"); val psS = ps("ps_suppkey"); val psC = ps("ps_supplycost_c")
-    val oKey = or("o_orderkey"); val oDate = or("o_orderdate")
-    val lOrd = li("l_orderkey"); val lPart = li("l_partkey"); val lSupp = li("l_suppkey")
-    val lQty = li("l_quantity_c"); val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val colorCode = d.code(pt, "p_color", TpchConsts.q9Color)
-
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 8)
-    val htS = new HashTable(2, su.numRows)
-    val htPs = new HashTable(3, ps.numRows)
-    val htO = new HashTable(2, or.numRows)
-    val htN = new HashTable(2, na.numRows)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 256)
-    val dispP = Morsel.scanDispenser(pt, 2)
-    val dispS = Morsel.scanDispenser(su, 2)
-    val dispPs = Morsel.scanDispenser(ps, 3)
-    val dispO = Morsel.scanDispenser(or, 2)
-    val dispN = Morsel.scanDispenser(na, 2)
-    val dispL = Morsel.scanDispenser(li, 6)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+  def run(d: TpchData, threads: Int, p: Prof, vecSize: Int): QueryOut = {
+    val plan = new TpchPlans.Q9(d, threads)
     Morsel.run(threads) { ctx =>
+      val pKey = plan.pKey; val pColor = plan.pColor; val sKey = plan.sKey; val sNat = plan.sNat
+      val nKey = plan.nKey; val nName = plan.nName
+      val psP = plan.psP; val psS = plan.psS; val psC = plan.psC
+      val oKey = plan.oKey; val oDate = plan.oDate
+      val lOrd = plan.lOrd; val lPart = plan.lPart; val lSupp = plan.lSupp
+      val lQty = plan.lQty; val lEp = plan.lEp; val lDisc = plan.lDisc
+      val colorCode = plan.colorCode
+      val htP = plan.htP; val htS = plan.htS; val htPs = plan.htPs; val htO = plan.htO; val htN = plan.htN
+      val dispP = plan.dispP; val dispS = plan.dispS; val dispPs = plan.dispPs
+      val dispO = plan.dispO; val dispN = plan.dispN; val dispL = plan.dispL
       val sel = new Sel(vecSize)
       val v1 = new Vec(vecSize); val v2 = new Vec(vecSize); val v3 = new Vec(vecSize)
       val hV = new Vec(vecSize)
@@ -123,7 +106,7 @@ object TwQ9 {
       ctx.barrier()
 
       // probe cascade over lineitem
-      val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
+      val agg = new TWAgg(plan.shared.local(ctx.workerId), vecSize)
       val probeP = new TWProbe(htP, 1, vecSize)
       val probeS = new TWProbe(htS, 1, vecSize)
       val probePs = new TWProbe(htPs, 2, vecSize)
@@ -210,14 +193,8 @@ object TwQ9 {
         m = dispL.next()
       }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          nName.dict(fin.key(e, 0).toInt), L(fin.key(e, 1)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(repro.typer.TyperQ9.schema, out.asScala.toVector)
+    plan.result
   }
 }

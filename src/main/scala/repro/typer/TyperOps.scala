@@ -42,7 +42,4 @@ object TyperOps {
     }
     -1
   }
-
-  /** Year of an epoch-day (see [[repro.core.DateUtil.yearOf]]). */
-  def yearOf(epochDay: Long): Int = repro.core.DateUtil.yearOf(epochDay)
 }

@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 
 /** Typer TPC-H Q1: one fused loop — scan lineitem, date filter, fixed-point
   * arithmetic, in-cache aggregation by (returnflag, linestatus). The
@@ -13,25 +10,13 @@ import scala.jdk.CollectionConverters._
 object TyperQ1 {
   private val sDate = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("l_returnflag", isString = true), OutCol("l_linestatus", isString = true),
-    OutCol("sum_qty"), OutCol("sum_base"), OutCol("sum_disc_price"),
-    OutCol("sum_charge"), OutCol("count_order"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val rf = li("l_returnflag"); val ls = li("l_linestatus")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
-    val disc = li("l_discount_c"); val tax = li("l_tax_c")
-    val cutoff = TpchConsts.q1Cutoff
-
-    val shared = new SharedAgg(2, 5,
-      Array(AggOp.Sum, AggOp.Sum, AggOp.Sum, AggOp.Sum, AggOp.Sum), threads, 16)
-    val disp = Morsel.scanDispenser(li, 7)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new TpchPlans.Q1(d, threads)
     Morsel.run(threads) { ctx =>
-      val agg = shared.local(ctx.workerId)
+      val li = plan.li; val sd = plan.sd; val rf = plan.rf; val ls = plan.ls
+      val qty = plan.qty; val ep = plan.ep; val disc = plan.disc; val tax = plan.tax
+      val disp = plan.disp; val cutoff = TpchConsts.q1Cutoff
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(48) // scan+filter+hash+agg fused body
       var m = disp.next()
@@ -66,16 +51,8 @@ object TyperQ1 {
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          rf.dict(fin.key(e, 0).toInt), ls.dict(fin.key(e, 1).toInt),
-          L(fin.value(e, 0)), L(fin.value(e, 1)), L(fin.value(e, 2)),
-          L(fin.value(e, 3)), L(fin.value(e, 4))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(schema, out.asScala.toVector)
+    plan.result
   }
 }

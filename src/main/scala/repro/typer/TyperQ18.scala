@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 
 /** Typer TPC-H Q18 (lite): the high-cardinality-aggregation stress test.
   *  1. scan lineitem → two-phase parallel aggregation by l_orderkey
@@ -18,27 +15,15 @@ object TyperQ18 {
   private val sHaving = BranchSim.site()
   private val sOHit = BranchSim.site(); private val sCHit = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("c_custkey"), OutCol("o_orderkey"), OutCol("o_orderdate", isString = true),
-    OutCol("o_totalprice_c"), OutCol("sum_qty"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oTotal = or("o_totalprice_c")
-    val lOrd = li("l_orderkey"); val lQty = li("l_quantity_c")
-    val threshold = TpchConsts.q18Threshold
-
-    val shared = new SharedAgg(1, 1, Array(AggOp.Sum), threads, or.numRows / math.max(1, threads) + 16)
-    val htQual = new HashTable(2, or.numRows, or.numRows / 32 + 16)     // qualifying orderkey → sum_qty
-    val htC = new HashTable(1, cu.numRows)
-    val dispL = Morsel.scanDispenser(li, 2)
-    val dispC = Morsel.scanDispenser(cu, 1)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new TpchPlans.Q18(d, threads)
     Morsel.run(threads) { ctx =>
+      val cu = plan.cu; val or = plan.or; val li = plan.li
+      val cKey = plan.cKey; val oKey = plan.oKey; val oCust = plan.oCust
+      val oDate = plan.oDate; val oTotal = plan.oTotal; val lOrd = plan.lOrd; val lQty = plan.lQty
+      val threshold = TpchConsts.q18Threshold
+      val shared = plan.shared; val htQual = plan.htQual; val htC = plan.htC
+      val dispL = plan.dispL; val dispC = plan.dispC; val dispO = plan.dispO
       // 1. lineitem → per-worker pre-aggregation by orderkey
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](1)
@@ -107,9 +92,7 @@ object TyperQ18 {
             if (p ne null) p.branch(sCHit, eC >= 0)
             if (eC >= 0) {
               if (p ne null) { p.load(oDate.addr + 8L * i); p.load(oTotal.addr + 8L * i) }
-              out.add(Array[Any](
-                L(ck), L(ok), oDate.decodeValue(oDate.data(i)),
-                L(oTotal.data(i)), L(htQual.getSlot(eQ, 1, p))))
+              plan.emit(ck, ok, oDate.data(i), oTotal.data(i), htQual.getSlot(eQ, 1, p))
             }
           }
           i += 1
@@ -118,6 +101,6 @@ object TyperQ18 {
       }
       if (p ne null) { p.loop(or.numRows); p.exitLoop() }
     }
-    QueryOut(schema, out.asScala.toVector)
+    plan.result
   }
 }

@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 
 /** Typer TPC-H Q3: three fused pipelines —
   *  1. scan customer, segment filter, build HT(custkey);
@@ -18,29 +15,16 @@ object TyperQ3 {
   private val sCHit = BranchSim.site(); private val sLDate = BranchSim.site()
   private val sOHit = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("l_orderkey"), OutCol("o_orderdate", isString = true),
-    OutCol("o_shippriority"), OutCol("revenue"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey"); val cSeg = cu("c_mktsegment")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oPrio = or("o_shippriority")
-    val lKey = li("l_orderkey"); val lDate = li("l_shipdate")
-    val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val segCode = d.code(cu, "c_mktsegment", TpchConsts.q3Segment)
-    val cutoff = TpchConsts.q3Date
-
-    val htC = new HashTable(1, cu.numRows, cu.numRows / 4)            // custkey
-    val htO = new HashTable(3, or.numRows, or.numRows / 2)            // orderkey, date, prio
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val dispC = Morsel.scanDispenser(cu, 2)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val dispL = Morsel.scanDispenser(li, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new TpchPlans.Q3(d, threads)
     Morsel.run(threads) { ctx =>
+      val cu = plan.cu; val or = plan.or; val li = plan.li
+      val cKey = plan.cKey; val cSeg = plan.cSeg
+      val oKey = plan.oKey; val oCust = plan.oCust; val oDate = plan.oDate; val oPrio = plan.oPrio
+      val lKey = plan.lKey; val lDate = plan.lDate; val lEp = plan.lEp; val lDisc = plan.lDisc
+      val segCode = plan.segCode; val cutoff = TpchConsts.q3Date
+      val htC = plan.htC; val htO = plan.htO
+      val dispC = plan.dispC; val dispO = plan.dispO; val dispL = plan.dispL
       // Pipeline 1: customer → HT_c
       if (p ne null) p.enterLoop(24)
       var m = dispC.next()
@@ -99,7 +83,7 @@ object TyperQ3 {
       ctx.barrier()
 
       // Pipeline 3: lineitem ⋈ HT_o → group-by aggregation
-      val agg = shared.local(ctx.workerId)
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](3)
       if (p ne null) p.enterLoop(64)
       m = dispL.next()
@@ -133,15 +117,8 @@ object TyperQ3 {
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          L(fin.key(e, 0)), oDate.decodeValue(fin.key(e, 1)),
-          L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(schema, out.asScala.toVector)
+    plan.result
   }
 }

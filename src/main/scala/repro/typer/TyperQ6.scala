@@ -1,9 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
 
 /** Typer TPC-H Q6: fused selective scan with *branch-free* predication —
   * the paper's Typer evaluates Q6's selection without branches (footnote 8:
@@ -13,19 +11,13 @@ import repro.queries.QueryOut.L
   */
 object TyperQ6 {
 
-  val schema: Vector[OutCol] = Vector(OutCol("revenue"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val disc = li("l_discount_c")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
+    val plan = new TpchPlans.Q6(d)
     import TpchConsts._
 
-    val total = new LongAdder
-    val matched = new AtomicLong(0)
-    val disp = Morsel.scanDispenser(li, 4)
-
     Morsel.run(threads) { ctx =>
+      val li = plan.li; val sd = plan.sd; val disc = plan.disc
+      val qty = plan.qty; val ep = plan.ep; val disp = plan.disp
       var sum = 0L
       var hits = 0L
       if (p ne null) p.enterLoop(16)
@@ -52,11 +44,8 @@ object TyperQ6 {
         m = disp.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
-      total.add(sum)
-      matched.addAndGet(hits)
-      ()
+      plan.add(sum, hits)
     }
-    val row: Array[Any] = Array(if (matched.get == 0) null else L(total.sum))
-    QueryOut(schema, Vector(row))
+    plan.result
   }
 }

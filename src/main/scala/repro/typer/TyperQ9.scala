@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{QueryOut, TpchData, TpchPlans}
 
 /** Typer TPC-H Q9 (lite): five build pipelines then one big fused probe
   * pipeline over lineitem — part (color filter), supplier, partsupp
@@ -16,36 +13,21 @@ object TyperQ9 {
   private val sPHit = BranchSim.site(); private val sSHit = BranchSim.site()
   private val sPsHit = BranchSim.site(); private val sOHit = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("nation", isString = true), OutCol("o_year"), OutCol("amount"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val pt = d.part; val su = d.supplier; val na = d.nation
-    val ps = d.partsupp; val or = d.orders; val li = d.lineitem
-    val pKey = pt("p_partkey"); val pColor = pt("p_color")
-    val sKey = su("s_suppkey"); val sNat = su("s_nationkey")
-    val nKey = na("n_nationkey"); val nName = na("n_name")
-    val psP = ps("ps_partkey"); val psS = ps("ps_suppkey"); val psC = ps("ps_supplycost_c")
-    val oKey = or("o_orderkey"); val oDate = or("o_orderdate")
-    val lOrd = li("l_orderkey"); val lPart = li("l_partkey"); val lSupp = li("l_suppkey")
-    val lQty = li("l_quantity_c"); val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val colorCode = d.code(pt, "p_color", TpchConsts.q9Color)
-
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 8)
-    val htS = new HashTable(2, su.numRows)       // suppkey → nationkey
-    val htPs = new HashTable(3, ps.numRows)      // (partkey, suppkey) → cost
-    val htO = new HashTable(2, or.numRows)       // orderkey → year
-    val htN = new HashTable(2, na.numRows)       // nationkey → name code
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 256)
-    val dispP = Morsel.scanDispenser(pt, 2)
-    val dispS = Morsel.scanDispenser(su, 2)
-    val dispPs = Morsel.scanDispenser(ps, 3)
-    val dispO = Morsel.scanDispenser(or, 2)
-    val dispN = Morsel.scanDispenser(na, 2)
-    val dispL = Morsel.scanDispenser(li, 6)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
-
+    val plan = new TpchPlans.Q9(d, threads)
     Morsel.run(threads) { ctx =>
+      val pt = plan.pt; val su = plan.su; val na = plan.na
+      val ps = plan.ps; val or = plan.or; val li = plan.li
+      val pKey = plan.pKey; val pColor = plan.pColor; val sKey = plan.sKey; val sNat = plan.sNat
+      val nKey = plan.nKey; val nName = plan.nName
+      val psP = plan.psP; val psS = plan.psS; val psC = plan.psC
+      val oKey = plan.oKey; val oDate = plan.oDate
+      val lOrd = plan.lOrd; val lPart = plan.lPart; val lSupp = plan.lSupp
+      val lQty = plan.lQty; val lEp = plan.lEp; val lDisc = plan.lDisc
+      val colorCode = plan.colorCode
+      val htP = plan.htP; val htS = plan.htS; val htPs = plan.htPs; val htO = plan.htO; val htN = plan.htN
+      val dispP = plan.dispP; val dispS = plan.dispS; val dispPs = plan.dispPs
+      val dispO = plan.dispO; val dispN = plan.dispN; val dispL = plan.dispL
       // part (filtered)
       if (p ne null) p.enterLoop(22)
       var m = dispP.next()
@@ -111,7 +93,7 @@ object TyperQ9 {
           if (p ne null) { p.load(oKey.addr + 8L * i); p.load(oDate.addr + 8L * i); p.ops(Hash.crcCost + 5) }
           val e = htO.reserve(p)
           htO.setSlot(e, 0, k, p)
-          htO.setSlot(e, 1, TyperOps.yearOf(oDate.data(i)).toLong, p)
+          htO.setSlot(e, 1, DateUtil.yearOf(oDate.data(i)).toLong, p)
           htO.publish(e, Hash.crc(k), p)
           i += 1
         }
@@ -137,7 +119,7 @@ object TyperQ9 {
       ctx.barrier()
 
       // the one big fused probe pipeline over lineitem
-      val agg = shared.local(ctx.workerId)
+      val agg = plan.shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(130)
       m = dispL.next()
@@ -190,14 +172,8 @@ object TyperQ9 {
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          nName.dict(fin.key(e, 0).toInt), L(fin.key(e, 1)), L(fin.value(e, 0))))
-        e += 1
-      }
+      plan.mergeAndEmit(ctx.workerId, p)
     }
-    QueryOut(schema, out.asScala.toVector)
+    plan.result
   }
 }

@@ -140,6 +140,4 @@ final class VolHashAgg(child: VolOp, keyIdx: Array[Int], sums: Array[Expr]) exte
     emitted += 1
     out
   }
-
-  def groupCount: Int = table.size
 }

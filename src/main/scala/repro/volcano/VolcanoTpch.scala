@@ -1,7 +1,7 @@
 package repro.volcano
 
 import repro.core.Prof
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
+import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData, TpchPlans}
 import repro.queries.QueryOut.L
 
 /** Volcano (tuple-at-a-time interpreted) implementations of Q1 and Q6 —
@@ -34,7 +34,7 @@ object VolcanoTpch {
         L(r(2)), L(r(3)), L(r(4)), L(r(5)), L(r(6)))
       r = plan.next(p)
     }
-    QueryOut(repro.typer.TyperQ1.schema, rows.result())
+    QueryOut(TpchPlans.Q1.schema, rows.result())
   }
 
   def q6(d: TpchData, p: Prof): QueryOut = {

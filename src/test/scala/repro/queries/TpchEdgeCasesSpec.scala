@@ -1,15 +1,19 @@
 package repro.queries
 
+import java.time.LocalDate
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, lit, min}
 import repro.{Oracle, SparkSpec}
 import repro.volcano.VolcanoTpch
 
 /** Differential checks on edge-case instances derived from the SF 0.005
   * data set: Typer, Tectorwise and DuckDB (plus Volcano for q1/q6) must
-  * agree on every query, at 1 and 4 workers, when lineitem is empty, and when the predicate
-  * constants of q3 (`BUILDING`) and q9 (`green`) are missing from the
-  * dictionaries, so `code()` returns -1.
+  * agree on every query, at 1 and 4 workers, when lineitem is empty, when
+  * the predicate constants of q3 (`BUILDING`) and q9 (`green`) are missing
+  * from the dictionaries, so `code()` returns -1, and when every lineitem
+  * has the same order key, return flag and line status, so q1 and q18 each
+  * aggregate every row into one group and every q3/q9 probe of the orders
+  * hash table walks the same chain.
   */
 class TpchEdgeCasesSpec extends SparkSpec {
   private lazy val base = TpchSchema.load(spark, 0.005)
@@ -22,6 +26,18 @@ class TpchEdgeCasesSpec extends SparkSpec {
   private lazy val dictMisses = instance(
     "customer" -> base.df("customer").filter(col("c_mktsegment") =!= "BUILDING"),
     "part"     -> base.df("part").filter(col("p_color") =!= "green"))
+  // The key is an order that passes q3's filters, so q3 has a result too.
+  private lazy val allEqualKeys = {
+    val q3Order = base.df("orders")
+      .join(base.df("customer"), col("o_custkey") === col("c_custkey"))
+      .filter(col("c_mktsegment") === TpchConsts.q3Segment &&
+              col("o_orderdate") < lit(LocalDate.ofEpochDay(TpchConsts.q3Date)))
+      .agg(min("o_orderkey")).head().getLong(0)
+    instance("lineitem" -> base.df("lineitem")
+      .withColumn("l_orderkey", lit(q3Order))
+      .withColumn("l_returnflag", lit("N"))
+      .withColumn("l_linestatus", lit("O")))
+  }
 
   test("the instances are what their names say") {
     assert(emptyLineitem.lineitem.numRows == 0)
@@ -29,11 +45,17 @@ class TpchEdgeCasesSpec extends SparkSpec {
     assert(dictMisses.code(dictMisses.customer, "c_mktsegment", "BUILDING") == -1)
     assert(dictMisses.code(dictMisses.part, "p_color", "green") == -1)
     assert(dictMisses.customer.numRows > 0 && dictMisses.part.numRows > 0)
+    val li = allEqualKeys.lineitem
+    assert(li.numRows == base.lineitem.numRows)
+    assert(li("l_orderkey").data.distinct.length == 1)
+    assert(li("l_returnflag").dict.length == 1 && li("l_linestatus").dict.length == 1)
+    for (q <- Seq("q1", "q3", "q18")) assert(Engines.typer(q)(allEqualKeys, 1, null).numRows == 1, q)
   }
 
   for ((label, data) <- Seq[(String, () => TpchData)](
          "empty lineitem" -> (() => emptyLineitem),
-         "dictionary misses" -> (() => dictMisses));
+         "dictionary misses" -> (() => dictMisses),
+         "all-equal keys" -> (() => allEqualKeys));
        q <- Engines.queryNames) {
     test(s"$label: $q agrees across Typer, Tectorwise and DuckDB") {
       val d = data()

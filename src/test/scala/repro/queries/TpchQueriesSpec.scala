@@ -1,6 +1,6 @@
 package repro.queries
 
-import repro.{Oracle, SparkSpec}
+import repro.{GoldenCounters, Oracle, SparkSpec}
 import repro.core.{HwProfile, Prof}
 
 /** End-to-end correctness of the five TPC-H-lite queries: every engine is
@@ -50,6 +50,9 @@ class TpchQueriesSpec extends SparkSpec {
       val pV = new Prof(HwProfile.skylake)
       assert(tw(q)(d, 1, pV).canon == ref)
       assert(pT.instr > 0 && pV.instr > 0)
+      val rows = Seq("typer" -> pT, "tw" -> pV).map { case (e, p) => GoldenCounters.row(q, e, p) }
+      assert(rows.forall(GoldenCounters.golden),
+        s"modeled-work counts differ from golden/counters.tsv; actual rows:\n${rows.mkString("\n")}")
       assert(pT.cycles > 0 && pV.cycles > 0)
     }
 
