@@ -15,13 +15,13 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
   val stride: Int = 2 + keySlots + valSlots
   private var cap = math.max(16, Integer.highestOneBit(initialCapacity - 1) * 2)
   private var heap = new Array[Long](cap * stride)
-  private var heapAddr = Addr.alloc(8L * heap.length)
+  private var heapRegion = new Region(8L * heap.length)
   private var count = 0
 
   private var numBuckets = cap * 2
   private var mask = numBuckets - 1
   private var buckets = new Array[Long](numBuckets)
-  private var bucketAddr = Addr.alloc(8L * numBuckets)
+  private var bucketRegion = new Region(8L * numBuckets)
 
   private val idxMask = 0xFFFFFFFFFFFFL
   private def tagOf(h: Long): Long = 1L << (48 + ((h >>> 59) & 15).toInt)
@@ -36,16 +36,16 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
   def find(hash: Long, keys: Array[Long], keyOff: Int, p: Prof): Int = {
     val b = (hash & mask).toInt
     val word = buckets(b)
-    if (p ne null) { p.load(bucketAddr + 8L * b); p.ops(3) }
+    if (p ne null) { p.load(bucketRegion.addr(p) + 8L * b); p.ops(3) }
     if ((word & tagOf(hash)) == 0) return -1
     var e = (word & idxMask).toInt - 1
     while (e >= 0) {
       val base = e * stride
-      if (p ne null) p.load(heapAddr + 8L * base)
+      if (p ne null) p.load(heapRegion.addr(p) + 8L * base)
       var eq = heap(base + 1) == hash
       var i = 0
       while (eq && i < keySlots) {
-        if (p ne null) { p.load(heapAddr + 8L * (base + 2 + i)); p.ops(1) }
+        if (p ne null) { p.load(heapRegion.addr(p) + 8L * (base + 2 + i)); p.ops(1) }
         eq = heap(base + 2 + i) == keys(keyOff + i)
         i += 1
       }
@@ -70,9 +70,9 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
     heap(base) = old & idxMask
     buckets(b) = (old & ~idxMask) | tagOf(hash) | (e + 1).toLong
     if (p ne null) {
-      p.store(heapAddr + 8L * base); p.store(bucketAddr + 8L * b)
+      p.store(heapRegion.addr(p) + 8L * base); p.store(bucketRegion.addr(p) + 8L * b)
       var j = 0
-      while (j < keySlots) { p.store(heapAddr + 8L * (base + 2 + j)); j += 1 }
+      while (j < keySlots) { p.store(heapRegion.addr(p) + 8L * (base + 2 + j)); j += 1 }
       p.ops(5)
     }
     e
@@ -92,14 +92,14 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
   def addToValue(e: Int, i: Int, delta: Long, p: Prof): Unit = {
     val off = e * stride + 2 + keySlots + i
     heap(off) += delta
-    if (p ne null) { p.load(heapAddr + 8L * off); p.store(heapAddr + 8L * off); p.ops(1) }
+    if (p ne null) { p.load(heapRegion.addr(p) + 8L * off); p.store(heapRegion.addr(p) + 8L * off); p.ops(1) }
   }
 
   /** `value(i) = max(value(i), v)` — for MIN/MAX aggregates. */
   def maxValue(e: Int, i: Int, v: Long, p: Prof): Unit = {
     val off = e * stride + 2 + keySlots + i
     if (v > heap(off)) heap(off) = v
-    if (p ne null) { p.load(heapAddr + 8L * off); p.ops(2) }
+    if (p ne null) { p.load(heapRegion.addr(p) + 8L * off); p.ops(2) }
   }
 
   def setValue(e: Int, i: Int, v: Long): Unit = heap(e * stride + 2 + keySlots + i) = v
@@ -107,14 +107,14 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
   private def growHeap(): Unit = {
     cap *= 2
     heap = java.util.Arrays.copyOf(heap, cap * stride)
-    heapAddr = Addr.alloc(8L * heap.length)
+    heapRegion = new Region(8L * heap.length)
   }
 
   private def growBuckets(): Unit = {
     numBuckets *= 2
     mask = numBuckets - 1
     buckets = new Array[Long](numBuckets)
-    bucketAddr = Addr.alloc(8L * numBuckets)
+    bucketRegion = new Region(8L * numBuckets)
     var e = 0
     while (e < count) {
       val base = e * stride
@@ -129,5 +129,5 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
 }
 
 object AggHashTable {
-  private val eqSite = BranchSim.site()
+  private val eqSite = BranchSim.site("AggHashTable.keysEqual")
 }

@@ -16,10 +16,6 @@ final class BranchSim(tableBits: Int = 12) {
   var branches: Long = 0
   var mispredicts: Long = 0
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(table, 0.toByte); history = 0; branches = 0; mispredicts = 0
-  }
-
   /** Record a dynamic branch at static `site`; returns true on mispredict. */
   def branch(site: Int, taken: Boolean): Boolean = {
     branches += 1
@@ -35,7 +31,10 @@ final class BranchSim(tableBits: Int = 12) {
 }
 
 object BranchSim {
-  private val siteCounter = new java.util.concurrent.atomic.AtomicInteger(1)
-  /** Allocate a static branch-site id (call once per source-level branch). */
-  def site(): Int = siteCounter.getAndIncrement()
+  /** The fixed id of the source-level branch `name` (its PC, in effect): a
+    * hash of the name, so it never depends on what ran earlier, and a site
+    * declared in a class is one site for every instance. Callers that give
+    * no name share one site.
+    */
+  def site(name: String = "anonymous"): Int = scala.util.hashing.MurmurHash3.stringHash(name)
 }

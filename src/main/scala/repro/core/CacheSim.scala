@@ -28,12 +28,6 @@ final class CacheSim(val sizeBytes: Long, val assoc: Int, val next: CacheSim) {
   var hits: Long   = 0
   var misses: Long = 0
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(tags, 0L); java.util.Arrays.fill(stamps, 0L)
-    clock = 0; hits = 0; misses = 0
-    if (next ne null) next.reset()
-  }
-
   /** Access the line containing `addr`; returns depth that served it. */
   def access(addr: Long): Int = {
     val line = addr >>> lineBits

@@ -24,11 +24,11 @@ object Enc {
 
 /** A single engine column: 64-bit values plus an optional string dictionary.
   *
-  * `addr` is the column's synthetic base address in the simulated address
-  * space; the cache simulator sees `addr + 8*i` for element `i`.
+  * `addr` is the column's fixed base address in the simulated address space
+  * (the cache simulator sees `addr + 8*i` for element `i`), laid out when its
+  * data set is extracted ([[Arena.ColumnBase]] for a column built alone).
   */
-final class LongCol(val data: Array[Long], val dict: Array[String], val enc: Enc) {
-  val addr: Long = Addr.alloc(8L * data.length)
+final class LongCol(val data: Array[Long], val dict: Array[String], val enc: Enc, val addr: Long) {
   def size: Int = data.length
 
   /** Decode element `i` back to the external value used in SQL results. */
@@ -43,15 +43,21 @@ final class LongCol(val data: Array[Long], val dict: Array[String], val enc: Enc
 }
 
 object LongCol {
-  def apply(data: Array[Long], enc: Enc = Enc.Id, dict: Array[String] = null): LongCol =
-    new LongCol(data, dict, enc)
+  def apply(data: Array[Long], enc: Enc = Enc.Id, dict: Array[String] = null,
+            addr: Long = Arena.ColumnBase): LongCol =
+    new LongCol(data, dict, enc, addr)
 }
 
-/** An in-memory columnar table shared by all engines. */
-final class ColTable(val name: String, val numRows: Int, val cols: Map[String, LongCol]) {
+/** An in-memory columnar table shared by all engines; with a `throttle`, it
+  * is streamed from that shared-bandwidth device (Table 5), else memory-resident.
+  */
+final class ColTable(val name: String, val numRows: Int, val cols: Map[String, LongCol],
+                     val throttle: Throttle = null) {
   def apply(col: String): LongCol =
     cols.getOrElse(col, throw new NoSuchElementException(s"$name has no column '$col'; has ${cols.keys.mkString(",")}"))
   def columnNames: Seq[String] = cols.keys.toSeq.sorted
+  /** The same table, streamed from `t`. */
+  def throttled(t: Throttle): ColTable = new ColTable(name, numRows, cols, t)
 }
 
 /** Extraction of Spark DataFrames into [[ColTable]]s.
@@ -59,10 +65,11 @@ final class ColTable(val name: String, val numRows: Int, val cols: Map[String, L
   * Collects to the driver (local mode, lite scale factors) and encodes each
   * requested column per its [[Enc]]. Collection order is preserved so the
   * engines, Spark SQL, and the DuckDB oracle all see the same multiset.
+  * Columns take the next ranges of the data set's `layout`, in `spec` order.
   */
 object Columnar {
 
-  def fromDF(df: DataFrame, name: String, spec: (String, Enc)*): ColTable = {
+  def fromDF(df: DataFrame, name: String, layout: Arena, spec: (String, Enc)*): ColTable = {
     val rows  = df.select(spec.map(_._1).map(org.apache.spark.sql.functions.col): _*).collect()
     val n     = rows.length
     val built = spec.zipWithIndex.map { case ((colName, enc), ci) =>
@@ -76,7 +83,7 @@ object Columnar {
             codes(i) = dict.getOrElseUpdate(s, dict.size).toLong
             i += 1
           }
-          colName -> LongCol(codes, Enc.Dict, dict.keys.toArray)
+          colName -> LongCol(codes, Enc.Dict, dict.keys.toArray, layout.take(8L * n))
         case e =>
           val vals = new Array[Long](n)
           var i = 0
@@ -84,7 +91,7 @@ object Columnar {
             vals(i) = encodeRaw(rows(i).get(ci), e)
             i += 1
           }
-          colName -> LongCol(vals, e)
+          colName -> LongCol(vals, e, addr = layout.take(8L * n))
       }
     }
     new ColTable(name, n, built.toMap)

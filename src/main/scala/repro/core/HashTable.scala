@@ -80,7 +80,7 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
   private val chunk = math.max(1, math.min(256, expectedEntries / 512))
   private val cap = math.max(1, expectedEntries) + (if (chunk > 1) 64 * chunk else 0)
   private val heap = new Array[Long](cap * stride)
-  private val heapAddr = Addr.alloc(8L * heap.length)
+  private val heapRegion = new Region(8L * heap.length)
   private val counter = new AtomicInteger(0)
   private val localRange = ThreadLocal.withInitial[Array[Int]](() => Array(0, 0))
 
@@ -92,7 +92,7 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
   }
   private val mask = numBuckets - 1
   private val buckets = new AtomicLongArray(numBuckets)
-  private val bucketAddr = Addr.alloc(8L * numBuckets)
+  private val bucketRegion = new Region(8L * numBuckets)
 
   private val idxMask = 0xFFFFFFFFFFFFL
 
@@ -115,7 +115,7 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
 
   def setSlot(e: Int, i: Int, v: Long, p: Prof): Unit = {
     heap(e * stride + 2 + i) = v
-    if (p ne null) p.store(heapAddr + 8L * (e * stride + 2 + i))
+    if (p ne null) p.store(heapRegion.addr(p) + 8L * (e * stride + 2 + i))
   }
 
   /** Link the fully-written entry into its bucket (lock-free CAS). */
@@ -131,27 +131,27 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
       val neu = (old & ~idxMask) | tag | (e + 1).toLong
       done = buckets.compareAndSet(b, old, neu)
     }
-    if (p ne null) { p.store(heapAddr + 8L * base); p.store(bucketAddr + 8L * b); p.ops(4) }
+    if (p ne null) { p.store(heapRegion.addr(p) + 8L * base); p.store(bucketRegion.addr(p) + 8L * b); p.ops(4) }
   }
 
   /** Head of the chain for `hash`, or -1. Tag check filters most misses. */
   def first(hash: Long, p: Prof): Int = {
     val b = (hash & mask).toInt
     val word = buckets.get(b)
-    if (p ne null) { p.load(bucketAddr + 8L * b); p.ops(3) }
+    if (p ne null) { p.load(bucketRegion.addr(p) + 8L * b); p.ops(3) }
     if ((word & tagOf(hash)) == 0) -1 else (word & idxMask).toInt - 1
   }
 
   /** Next entry in the chain after `e`, or -1. */
   def next(e: Int, p: Prof): Int = {
-    if (p ne null) p.load(heapAddr + 8L * (e * stride))
+    if (p ne null) p.load(heapRegion.addr(p) + 8L * (e * stride))
     heap(e * stride).toInt - 1
   }
 
   def entryHash(e: Int): Long = heap(e * stride + 1)
 
   def getSlot(e: Int, i: Int, p: Prof): Long = {
-    if (p ne null) p.load(heapAddr + 8L * (e * stride + 2 + i))
+    if (p ne null) p.load(heapRegion.addr(p) + 8L * (e * stride + 2 + i))
     heap(e * stride + 2 + i)
   }
 }

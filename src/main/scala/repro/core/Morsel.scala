@@ -15,19 +15,11 @@ object Morsel {
 
   val DefaultMorselRows = 16384
 
-  /** Global scan-I/O throttle (Table 5 out-of-memory experiments): when set,
-    * every base-table morsel "fetch" consumes its byte volume from the
-    * shared-bandwidth device before processing — emulating morsel-wise
-    * streaming from an SSD whose sequential bandwidth all workers share.
-    * `null` (default) = tables are memory-resident.
-    */
-  @volatile var ioThrottle: Throttle = null
-
   /** Dispenser for a base-table scan reading `colsRead` columns (8 B each);
-    * the byte volume is what the I/O throttle charges per morsel.
+    * the byte volume is what the table's throttle, if any, charges per morsel.
     */
   def scanDispenser(t: ColTable, colsRead: Int): Dispenser =
-    new Dispenser(t.numRows, DefaultMorselRows, 8 * colsRead)
+    new Dispenser(t.numRows, DefaultMorselRows, 8 * colsRead, t.throttle)
 
   /** Per-worker context. */
   final class Ctx(val workerId: Int, val numWorkers: Int, b: CyclicBarrier) {
@@ -35,17 +27,18 @@ object Morsel {
     def barrier(): Unit = { b.await(); () }
   }
 
-  /** Atomic work dispenser over `[0, n)` in `morselRows` chunks. */
+  /** Atomic work dispenser over `[0, n)` in `morselRows` chunks (each charged
+    * `rowBytes` per row to `throttle`, if any).
+    */
   final class Dispenser(val n: Long, val morselRows: Int = DefaultMorselRows,
-                        val rowBytes: Int = 0) {
+                        val rowBytes: Int = 0, throttle: Throttle = null) {
     private val cursor = new AtomicLong(0)
     /** Next morsel as (start, endExclusive), or null when exhausted. */
     def next(): Range = {
       val s = cursor.getAndAdd(morselRows)
       if (s >= n) return null
       val r = new Range(s, math.min(n, s + morselRows))
-      val t = ioThrottle
-      if ((t ne null) && rowBytes > 0) t.consume((r.end - r.start) * rowBytes)
+      if (throttle ne null) throttle.consume((r.end - r.start) * rowBytes)
       r
     }
   }

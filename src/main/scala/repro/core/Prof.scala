@@ -7,9 +7,14 @@ package repro.core
   *
   *  - instructions (arithmetic/compare/branch/load/store, incl. the extra
   *    load/store traffic of vectorized materialization — §4.2),
-  *  - data-cache behaviour via [[CacheSim]] over the synthetic [[Addr]] space,
+  *  - data-cache behaviour via [[CacheSim]] over a synthetic address space,
   *  - data-dependent branch outcomes via [[BranchSim]],
   *  - memory-stall cycles via a memory-level-parallelism (MLP) model.
+  *
+  * Columns have fixed addresses; each per-run [[Region]] is placed in this
+  * `Prof`'s own [[Arena]] on first touch; branch sites are fixed ids. So the
+  * counters depend only on query, data and hardware profile, not on what
+  * ran earlier in the JVM.
   *
   * '''MLP model''' (the paper's central §4.1 mechanism): a load miss inside a
   * loop stalls for `latency / mlp` where `mlp = clamp(oooWindow / bodyInstr,
@@ -23,8 +28,8 @@ package repro.core
   * discarded, which also grows with loop-body size (§4.1: "every branch miss
   * is more expensive ... in a complex loop").
   *
-  * Instances are single-threaded; counter experiments run with 1 worker,
-  * matching the paper's single-threaded Table 1.
+  * Instances are single-threaded and live for one run; counter experiments
+  * run with 1 worker, matching the paper's single-threaded Table 1.
   */
 final class Prof(val hw: HwProfile) {
   val cache: CacheSim = CacheSim.hierarchy(hw)
@@ -36,6 +41,10 @@ final class Prof(val hw: HwProfile) {
   var stores: Long = 0
   private var stallCycles: Double  = 0
   private var branchCycles: Double = 0
+  private val arena = new Arena(Arena.RunBase)
+
+  /** Place `bytes` of per-run structure in this run's arena ([[Region]]). */
+  def place(bytes: Long): Long = arena.take(bytes)
 
   // Current loop context: estimated instructions per iteration of the
   // innermost hot loop. Maintained as a stack (operators can nest).
@@ -121,13 +130,6 @@ final class Prof(val hw: HwProfile) {
   def ipc: Double    = if (cycles == 0) 0 else instr / cycles
   /** Modeled wall time for this (single-threaded) run. */
   def seconds: Double = cycles / (hw.clockGHz * 1e9)
-
-  def reset(): Unit = {
-    cache.reset(); bp.reset()
-    java.util.Arrays.fill(streamHead, 0L)
-    instr = 0; loads = 0; stores = 0; stallCycles = 0; branchCycles = 0
-    bodyStack = Nil; body = 16
-  }
 
   /** Per-tuple counter row, normalized like the paper's Table 1. */
   def perTuple(tuples: Long): Prof.Counters = Prof.Counters(

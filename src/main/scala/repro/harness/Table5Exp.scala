@@ -1,8 +1,8 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Morsel, Throttle}
-import repro.queries.{Engines, TpchSchema}
+import repro.core.Throttle
+import repro.queries.{Engines, TpchData, TpchSchema}
 
 /** Table 5 — "SSD Results": out-of-memory execution. The paper streams
   * tables from a 1.4 GB/s SSD RAID (vs 55 GB/s DRAM) with 20 threads at
@@ -21,8 +21,8 @@ object Table5Exp {
     val rows = Engines.queryNames.map { q =>
       val typerMem = Bench.timeMs(5, 7) { Engines.typer(q)(d, threads, null); () }
       val twMem    = Bench.timeMs(5, 7) { tw(q)(d, threads, null); () }
-      val typerSsd = timeThrottled(ssdBytesPerSec) { Engines.typer(q)(d, threads, null); () }
-      val twSsd    = timeThrottled(ssdBytesPerSec) { tw(q)(d, threads, null); () }
+      val typerSsd = timeThrottled(d, ssdBytesPerSec) { td => Engines.typer(q)(td, threads, null); () }
+      val twSsd    = timeThrottled(d, ssdBytesPerSec) { td => tw(q)(td, threads, null); () }
       Seq(q,
         AsciiTable.f1(typerMem), AsciiTable.f1(twMem), AsciiTable.f2(typerMem / twMem),
         AsciiTable.f1(typerSsd), AsciiTable.f1(twSsd), AsciiTable.f2(typerSsd / twSsd))
@@ -35,24 +35,22 @@ object Table5Exp {
       rows)
   }
 
-  /** Minimum of five throttled runs, each against a fresh token bucket (a
-    * shared bucket would let later runs inherit earlier runs' debt); an
+  /** Minimum of five runs over `d` streamed from a fresh token bucket each
+    * (a shared bucket would let later runs inherit earlier runs' debt); an
     * unthrottled warm-up first so JIT state matches the in-memory runs.
     * Minimum, not median: the token bucket sets a hard physical floor of
     * max(bytes/bandwidth, compute), and all measurement noise (GC pauses,
     * scheduler preemption interacting with parked workers) is strictly
     * additive on top of it.
     */
-  private def timeThrottled(bytesPerSec: Double)(body: => Unit): Double = {
-    body // warm
+  private def timeThrottled(d: TpchData, bytesPerSec: Double)(body: TpchData => Unit): Double = {
+    body(d) // warm
     System.gc()
     (0 until 5).map { _ =>
-      Morsel.ioThrottle = new Throttle(bytesPerSec)
-      try {
-        val t0 = System.nanoTime()
-        body
-        (System.nanoTime() - t0) / 1e6
-      } finally Morsel.ioThrottle = null
+      val throttled = d.throttled(new Throttle(bytesPerSec))
+      val t0 = System.nanoTime()
+      body(throttled)
+      (System.nanoTime() - t0) / 1e6
     }.min
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.SynthData
-import repro.core.{ColTable, Columnar, Enc}
+import repro.core.{Arena, ColTable, Columnar, Enc, Throttle}
 import scala.collection.concurrent.TrieMap
 
 /** TPC-H-lite dataset: the provided `SynthData` tables extended with the
@@ -23,6 +23,11 @@ final case class TpchData(
     dfs: Map[String, DataFrame]) {
 
   def df(name: String): DataFrame = dfs(name)
+
+  /** The same data, every table streamed from `t` (Table 5). */
+  def throttled(t: Throttle): TpchData = copy(lineitem = lineitem.throttled(t), orders = orders.throttled(t),
+    customer = customer.throttled(t), supplier = supplier.throttled(t), nation = nation.throttled(t),
+    partsupp = partsupp.throttled(t), part = part.throttled(t))
   def tablesFor(names: String*): Seq[(String, DataFrame)] = names.map(n => n -> dfs(n))
 
   /** Dictionary code of string `v` in column `col` of `t`, or -1 if absent
@@ -108,28 +113,30 @@ object TpchSchema {
   }
 
   /** Extracts the engines' columnar tables from `dfs` (one DataFrame per
-    * TPC-H-lite table name).
+    * TPC-H-lite table name). Column addresses are packed in the order below.
     */
-  def columnar(sf: Double, dfs: Map[String, DataFrame]): TpchData =
+  def columnar(sf: Double, dfs: Map[String, DataFrame]): TpchData = {
+    val layout = new Arena(Arena.ColumnBase)
     TpchData(
       sf = sf,
-      lineitem = Columnar.fromDF(dfs("lineitem"), "lineitem",
+      lineitem = Columnar.fromDF(dfs("lineitem"), "lineitem", layout,
         "l_orderkey" -> Enc.Id, "l_partkey" -> Enc.Id, "l_suppkey" -> Enc.Id,
         "l_quantity_c" -> Enc.Id, "l_extendedprice_c" -> Enc.Id,
         "l_discount_c" -> Enc.Id, "l_tax_c" -> Enc.Id,
         "l_returnflag" -> Enc.Dict, "l_linestatus" -> Enc.Dict, "l_shipdate" -> Enc.Days),
-      orders = Columnar.fromDF(dfs("orders"), "orders",
+      orders = Columnar.fromDF(dfs("orders"), "orders", layout,
         "o_orderkey" -> Enc.Id, "o_custkey" -> Enc.Id, "o_orderdate" -> Enc.Days,
         "o_shippriority" -> Enc.Id, "o_totalprice_c" -> Enc.Id),
-      customer = Columnar.fromDF(dfs("customer"), "customer",
+      customer = Columnar.fromDF(dfs("customer"), "customer", layout,
         "c_custkey" -> Enc.Id, "c_nationkey" -> Enc.Id, "c_mktsegment" -> Enc.Dict),
-      supplier = Columnar.fromDF(dfs("supplier"), "supplier",
+      supplier = Columnar.fromDF(dfs("supplier"), "supplier", layout,
         "s_suppkey" -> Enc.Id, "s_nationkey" -> Enc.Id),
-      nation = Columnar.fromDF(dfs("nation"), "nation",
+      nation = Columnar.fromDF(dfs("nation"), "nation", layout,
         "n_nationkey" -> Enc.Id, "n_name" -> Enc.Dict),
-      partsupp = Columnar.fromDF(dfs("partsupp"), "partsupp",
+      partsupp = Columnar.fromDF(dfs("partsupp"), "partsupp", layout,
         "ps_partkey" -> Enc.Id, "ps_suppkey" -> Enc.Id, "ps_supplycost_c" -> Enc.Id),
-      part = Columnar.fromDF(dfs("part"), "part",
+      part = Columnar.fromDF(dfs("part"), "part", layout,
         "p_partkey" -> Enc.Id, "p_color" -> Enc.Dict),
       dfs = dfs)
+  }
 }

@@ -1,7 +1,7 @@
 package repro.ssb
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{ColTable, Columnar, Enc}
+import repro.core.{Arena, ColTable, Columnar, Enc}
 import scala.collection.concurrent.TrieMap
 
 /** SSB-lite dataset in DataFrame and columnar engine form. */
@@ -43,20 +43,21 @@ object SsbSchema {
                   "supplier" -> su, "customer" -> cu)
     dfs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
 
+    val layout = new Arena(Arena.ColumnBase) // column addresses, in the order below
     SsbDataSet(
       sf = sf,
-      lineorder = Columnar.fromDF(lo, "lineorder",
+      lineorder = Columnar.fromDF(lo, "lineorder", layout,
         "lo_orderdate" -> Enc.Id, "lo_partkey" -> Enc.Id, "lo_suppkey" -> Enc.Id,
         "lo_custkey" -> Enc.Id, "lo_quantity" -> Enc.Id,
         "lo_extendedprice_c" -> Enc.Id, "lo_discount" -> Enc.Id,
         "lo_revenue_c" -> Enc.Id, "lo_supplycost_c" -> Enc.Id),
-      date = Columnar.fromDF(dd, "date", "d_datekey" -> Enc.Id, "d_year" -> Enc.Id),
-      part = Columnar.fromDF(pt, "part",
+      date = Columnar.fromDF(dd, "date", layout, "d_datekey" -> Enc.Id, "d_year" -> Enc.Id),
+      part = Columnar.fromDF(pt, "part", layout,
         "p_partkey" -> Enc.Id, "p_mfgr" -> Enc.Dict,
         "p_category" -> Enc.Dict, "p_brand1" -> Enc.Dict),
-      supplier = Columnar.fromDF(su, "supplier",
+      supplier = Columnar.fromDF(su, "supplier", layout,
         "s_suppkey" -> Enc.Id, "s_nation" -> Enc.Dict, "s_region" -> Enc.Dict),
-      customer = Columnar.fromDF(cu, "customer",
+      customer = Columnar.fromDF(cu, "customer", layout,
         "c_custkey" -> Enc.Id, "c_nation" -> Enc.Dict, "c_region" -> Enc.Dict),
       dfs = dfs)
   }

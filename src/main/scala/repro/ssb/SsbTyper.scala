@@ -10,12 +10,12 @@ import repro.typer.TyperOps
   * lineorder per query.
   */
 object SsbTyper {
-  private val sYear = BranchSim.site(); private val sDisc1 = BranchSim.site()
-  private val sDisc2 = BranchSim.site(); private val sQty = BranchSim.site()
-  private val sDHit = BranchSim.site(); private val sPHit = BranchSim.site()
-  private val sSHit = BranchSim.site(); private val sCHit = BranchSim.site()
-  private val sCat = BranchSim.site(); private val sReg = BranchSim.site()
-  private val sMfgr = BranchSim.site()
+  private val sYear = BranchSim.site("SsbTyper.year"); private val sDisc1 = BranchSim.site("SsbTyper.disc1")
+  private val sDisc2 = BranchSim.site("SsbTyper.disc2"); private val sQty = BranchSim.site("SsbTyper.qty")
+  private val sDHit = BranchSim.site("SsbTyper.dHit"); private val sPHit = BranchSim.site("SsbTyper.pHit")
+  private val sSHit = BranchSim.site("SsbTyper.sHit"); private val sCHit = BranchSim.site("SsbTyper.cHit")
+  private val sCat = BranchSim.site("SsbTyper.cat"); private val sReg = BranchSim.site("SsbTyper.reg")
+  private val sMfgr = BranchSim.site("SsbTyper.mfgr")
 
   /** Run dimension build `b` as one fused loop; `site` is its filter branch. */
   private def buildDim(b: DimBuild, site: Int, p: Prof): Unit = {

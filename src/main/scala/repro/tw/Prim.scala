@@ -36,7 +36,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(2)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = i
         if (col.data(base + i) <= c) k += 1
         i += 1
@@ -53,7 +53,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(2)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = i
         if (col.data(base + i) < c) k += 1
         i += 1
@@ -70,7 +70,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(2)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = i
         if (col.data(base + i) >= c) k += 1
         i += 1
@@ -87,7 +87,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(2)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = i
         if (col.data(base + i) > c) k += 1
         i += 1
@@ -104,7 +104,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(2)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = i
         if (col.data(base + i) == c) k += 1
         i += 1
@@ -121,7 +121,7 @@ object Prim {
     if (p ne null) {
       p.enterLoop(5)
       while (i < n) {
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 4L * k); p.ops(3)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 4L * k); p.ops(3)
         out.a(k) = i
         val v = col.data(base + i)
         if (v == c1 || v == c2) k += 1
@@ -142,8 +142,8 @@ object Prim {
       p.enterLoop(6)
       while (i < in.n) {
         val pos = in.a(i)
-        p.load(in.addr + 4L * i); p.load(col.addr + 8L * (base + pos))
-        p.store(out.addr + 4L * k); p.ops(2)
+        p.load(in.addr(p) + 4L * i); p.load(col.addr + 8L * (base + pos))
+        p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = pos
         if (col.data(base + pos) <= c) k += 1
         i += 1
@@ -161,8 +161,8 @@ object Prim {
       p.enterLoop(6)
       while (i < in.n) {
         val pos = in.a(i)
-        p.load(in.addr + 4L * i); p.load(col.addr + 8L * (base + pos))
-        p.store(out.addr + 4L * k); p.ops(2)
+        p.load(in.addr(p) + 4L * i); p.load(col.addr + 8L * (base + pos))
+        p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = pos
         if (col.data(base + pos) < c) k += 1
         i += 1
@@ -180,8 +180,8 @@ object Prim {
       p.enterLoop(6)
       while (i < in.n) {
         val pos = in.a(i)
-        p.load(in.addr + 4L * i); p.load(col.addr + 8L * (base + pos))
-        p.store(out.addr + 4L * k); p.ops(2)
+        p.load(in.addr(p) + 4L * i); p.load(col.addr + 8L * (base + pos))
+        p.store(out.addr(p) + 4L * k); p.ops(2)
         out.a(k) = pos
         if (col.data(base + pos) >= c) k += 1
         i += 1
@@ -200,9 +200,9 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < sel.n) {
-        val pos = sel.a(i); p.load(sel.addr + 4L * i)
+        val pos = sel.a(i); p.load(sel.addr(p) + 4L * i)
         out.a(i) = col.data(base + pos)
-        p.load(col.addr + 8L * (base + pos)); p.store(out.addr + 8L * i)
+        p.load(col.addr + 8L * (base + pos)); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(sel.n)
@@ -217,7 +217,7 @@ object Prim {
       p.enterLoop(3)
       while (i < n) {
         out.a(i) = col.data(base + i)
-        p.load(col.addr + 8L * (base + i)); p.store(out.addr + 8L * i)
+        p.load(col.addr + 8L * (base + i)); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -230,7 +230,7 @@ object Prim {
     var i = 0
     if (p ne null) {
       p.enterLoop(4)
-      while (i < n) { out.a(i) = c - in.a(i); p.load(in.addr + 8L * i); p.ops(1); p.store(out.addr + 8L * i); i += 1 }
+      while (i < n) { out.a(i) = c - in.a(i); p.load(in.addr(p) + 8L * i); p.ops(1); p.store(out.addr(p) + 8L * i); i += 1 }
       p.loop(n)
       p.exitLoop()
     } else while (i < n) { out.a(i) = c - in.a(i); i += 1 }
@@ -241,7 +241,7 @@ object Prim {
     var i = 0
     if (p ne null) {
       p.enterLoop(4)
-      while (i < n) { out.a(i) = c + in.a(i); p.load(in.addr + 8L * i); p.ops(1); p.store(out.addr + 8L * i); i += 1 }
+      while (i < n) { out.a(i) = c + in.a(i); p.load(in.addr(p) + 8L * i); p.ops(1); p.store(out.addr(p) + 8L * i); i += 1 }
       p.loop(n)
       p.exitLoop()
     } else while (i < n) { out.a(i) = c + in.a(i); i += 1 }
@@ -254,7 +254,7 @@ object Prim {
       p.enterLoop(5)
       while (i < n) {
         out.a(i) = va.a(i) * vb.a(i)
-        p.load(va.addr + 8L * i); p.load(vb.addr + 8L * i); p.ops(1); p.store(out.addr + 8L * i)
+        p.load(va.addr(p) + 8L * i); p.load(vb.addr(p) + 8L * i); p.ops(1); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -269,7 +269,7 @@ object Prim {
       p.enterLoop(5)
       while (i < n) {
         out.a(i) = va.a(i) - vb.a(i)
-        p.load(va.addr + 8L * i); p.load(vb.addr + 8L * i); p.ops(1); p.store(out.addr + 8L * i)
+        p.load(va.addr(p) + 8L * i); p.load(vb.addr(p) + 8L * i); p.ops(1); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -286,7 +286,7 @@ object Prim {
       p.enterLoop(3 + Hash.murmurCost)
       while (i < n) {
         out.a(i) = Hash.murmur(in.a(i))
-        p.load(in.addr + 8L * i); p.ops(Hash.murmurCost); p.store(out.addr + 8L * i)
+        p.load(in.addr(p) + 8L * i); p.ops(Hash.murmurCost); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -301,8 +301,8 @@ object Prim {
       p.enterLoop(4 + Hash.combineCost)
       while (i < n) {
         hashes.a(i) = Hash.combine(hashes.a(i), in.a(i))
-        p.load(hashes.addr + 8L * i); p.load(in.addr + 8L * i)
-        p.ops(Hash.combineCost); p.store(hashes.addr + 8L * i)
+        p.load(hashes.addr(p) + 8L * i); p.load(in.addr(p) + 8L * i)
+        p.ops(Hash.combineCost); p.store(hashes.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -320,9 +320,9 @@ object Prim {
     if (p ne null) {
       p.enterLoop(4)
       while (i < matches.n) {
-        val j = matches.a(i); p.load(matches.addr + 4L * i)
+        val j = matches.a(i); p.load(matches.addr(p) + 4L * i)
         out.a(i) = cur.a(j)
-        p.load(cur.addr + 4L * j); p.store(out.addr + 4L * i)
+        p.load(cur.addr(p) + 4L * j); p.store(out.addr(p) + 4L * i)
         i += 1
       }
       p.loop(matches.n)
@@ -338,7 +338,7 @@ object Prim {
       p.enterLoop(8)
       while (i < n) {
         out.a(i) = repro.core.DateUtil.yearOf(in.a(i)).toLong
-        p.load(in.addr + 8L * i); p.ops(5); p.store(out.addr + 8L * i)
+        p.load(in.addr(p) + 8L * i); p.ops(5); p.store(out.addr(p) + 8L * i)
         i += 1
       }
       p.loop(n)
@@ -353,7 +353,7 @@ object Prim {
     var s = 0L; var i = 0
     if (p ne null) {
       p.enterLoop(3)
-      while (i < n) { s += in.a(i); p.load(in.addr + 8L * i); p.ops(1); i += 1 }
+      while (i < n) { s += in.a(i); p.load(in.addr(p) + 8L * i); p.ops(1); i += 1 }
       p.loop(n)
       p.exitLoop()
     } else while (i < n) { s += in.a(i); i += 1 }

@@ -17,7 +17,7 @@ final class TWAgg(val table: AggHashTable, vecSize: Int) {
   val groups = new EntryVec(vecSize)
 
   private val keyRow = new Array[Long](keySlots)
-  private val sMiss = BranchSim.site()
+  private val sMiss = BranchSim.site("TWAgg.groupMiss")
 
   /** Resolve group entries for `n` batch positions (dense key vectors). */
   def findGroups(hashes: Vec, keys: Array[Vec], n: Int, p: Prof): Unit = {
@@ -27,11 +27,11 @@ final class TWAgg(val table: AggHashTable, vecSize: Int) {
     while (i < n) {
       var s = 0
       while (s < keySlots) {
-        if (p ne null) p.load(keys(s).addr + 8L * i)
+        if (p ne null) p.load(keys(s).addr(p) + 8L * i)
         keyRow(s) = keys(s).a(i)
         s += 1
       }
-      if (p ne null) p.load(hashes.addr + 8L * i)
+      if (p ne null) p.load(hashes.addr(p) + 8L * i)
       val h = hashes.a(i)
       var e = table.find(h, keyRow, 0, p)
       val miss = e < 0
@@ -43,7 +43,7 @@ final class TWAgg(val table: AggHashTable, vecSize: Int) {
         e = table.insert(h, keyRow, 0, p)
       }
       groups.a(i) = e
-      if (p ne null) p.store(groups.addr + 4L * i)
+      if (p ne null) p.store(groups.addr(p) + 4L * i)
       i += 1
     }
     if (p ne null) { p.loop(n); p.exitLoop() }
@@ -54,7 +54,7 @@ final class TWAgg(val table: AggHashTable, vecSize: Int) {
     var i = 0
     if (p ne null) p.enterLoop(6)
     while (i < n) {
-      if (p ne null) { p.load(groups.addr + 4L * i); p.load(vals.addr + 8L * i) }
+      if (p ne null) { p.load(groups.addr(p) + 4L * i); p.load(vals.addr(p) + 8L * i) }
       table.addToValue(groups.a(i), slot, vals.a(i), p)
       i += 1
     }
@@ -66,7 +66,7 @@ final class TWAgg(val table: AggHashTable, vecSize: Int) {
     var i = 0
     if (p ne null) p.enterLoop(4)
     while (i < n) {
-      if (p ne null) p.load(groups.addr + 4L * i)
+      if (p ne null) p.load(groups.addr(p) + 4L * i)
       table.addToValue(groups.a(i), slot, 1L, p)
       i += 1
     }

@@ -1,6 +1,6 @@
 package repro.tw
 
-import repro.core.{BranchSim, HashTable, Prof}
+import repro.core.{BranchSim, HashTable, Prof, Region}
 
 /** Vectorized hash-join operators (paper Fig. 2b).
   *
@@ -28,11 +28,11 @@ object TWJoin {
       val e = ht.reserve(p)
       var s = 0
       while (s < vecs.length) {
-        if (p ne null) p.load(vecs(s).addr + 8L * i)
+        if (p ne null) p.load(vecs(s).addr(p) + 8L * i)
         ht.setSlot(e, s, vecs(s).a(i), p)
         s += 1
       }
-      if (p ne null) p.load(hashes.addr + 8L * i)
+      if (p ne null) p.load(hashes.addr(p) + 8L * i)
       ht.publish(e, hashes.a(i), p)
       i += 1
     }
@@ -55,11 +55,11 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
   private val active = new Sel(vecSize)        // positions still walking chains
   private val survivors = new Sel(vecSize)
   private val eq = new Array[Boolean](vecSize)
-  private val eqAddr = repro.core.Addr.alloc(vecSize.toLong)
+  private val eqFlags = new Region(vecSize.toLong) // `eq` as a byte vector
 
-  private val sCand = BranchSim.site()
-  private val sEq = BranchSim.site()
-  private val sChain = BranchSim.site()
+  private val sCand = BranchSim.site("TWProbe.candidate")
+  private val sEq = BranchSim.site("TWProbe.keysEqual")
+  private val sChain = BranchSim.site("TWProbe.chainMore")
 
   /** Probe `n` positions; `keys(s)` are dense key vectors aligned with
     * positions; `hashes` likewise. Returns the number of matches.
@@ -71,11 +71,11 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
     if (p ne null) p.enterLoop(6)
     active.n = 0
     while (i < n) {
-      if (p ne null) p.load(hashes.addr + 8L * i)
+      if (p ne null) p.load(hashes.addr(p) + 8L * i)
       val e = ht.first(hashes.a(i), p)
       cand.a(i) = e
       val hit = e >= 0
-      if (p ne null) { p.branch(sCand, hit); p.store(cand.addr + 4L * i) }
+      if (p ne null) { p.branch(sCand, hit); p.store(cand.addr(p) + 4L * i) }
       if (hit) { active.a(active.n) = i; active.n += 1 }
       i += 1
     }
@@ -90,13 +90,13 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
         if (p ne null) p.enterLoop(7)
         while (j < active.n) {
           val pos = active.a(j)
-          if (p ne null) p.load(active.addr + 4L * j)
+          if (p ne null) p.load(active.addr(p) + 4L * j)
           val ev = ht.getSlot(cand.a(pos), s, p)
-          if (p ne null) p.load(keys(s).addr + 8L * pos)
+          if (p ne null) p.load(keys(s).addr(p) + 8L * pos)
           val same = ev == keys(s).a(pos)
           val acc = if (s == 0) same else eq(pos) && same
           eq(pos) = acc
-          if (p ne null) { p.ops(2); p.store(eqAddr + pos) }
+          if (p ne null) { p.ops(2); p.store(eqFlags.addr(p) + pos) }
           j += 1
         }
         if (p ne null) { p.loop(active.n); p.exitLoop() }
@@ -108,19 +108,19 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
       if (p ne null) p.enterLoop(8)
       while (j < active.n) {
         val pos = active.a(j)
-        if (p ne null) { p.load(active.addr + 4L * j); p.load(eqAddr + pos) }
+        if (p ne null) { p.load(active.addr(p) + 4L * j); p.load(eqFlags.addr(p) + pos) }
         val isEq = eq(pos)
         if (p ne null) p.branch(sEq, isEq)
         if (isEq) {
           matchSel.a(matchSel.n) = pos
           matchEntry.a(matchSel.n) = cand.a(pos)
-          if (p ne null) { p.store(matchSel.addr + 4L * matchSel.n); p.store(matchEntry.addr + 4L * matchSel.n) }
+          if (p ne null) { p.store(matchSel.addr(p) + 4L * matchSel.n); p.store(matchEntry.addr(p) + 4L * matchSel.n) }
           matchSel.n += 1
         } else {
           val nx = ht.next(cand.a(pos), p)
           cand.a(pos) = nx
           val more = nx >= 0
-          if (p ne null) { p.branch(sChain, more); p.store(cand.addr + 4L * pos) }
+          if (p ne null) { p.branch(sChain, more); p.store(cand.addr(p) + 4L * pos) }
           if (more) { survivors.a(survivors.n) = pos; survivors.n += 1 }
         }
         j += 1
@@ -138,9 +138,9 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
     var i = 0
     if (p ne null) p.enterLoop(4)
     while (i < matchSel.n) {
-      if (p ne null) p.load(matchEntry.addr + 4L * i)
+      if (p ne null) p.load(matchEntry.addr(p) + 4L * i)
       out.a(i) = ht.getSlot(matchEntry.a(i), s, p)
-      if (p ne null) p.store(out.addr + 8L * i)
+      if (p ne null) p.store(out.addr(p) + 8L * i)
       i += 1
     }
     if (p ne null) { p.loop(matchSel.n); p.exitLoop() }
@@ -153,9 +153,9 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
     var i = 0
     if (p ne null) p.enterLoop(4)
     while (i < matchSel.n) {
-      if (p ne null) { p.load(matchSel.addr + 4L * i); p.load(in.addr + 8L * matchSel.a(i)) }
+      if (p ne null) { p.load(matchSel.addr(p) + 4L * i); p.load(in.addr(p) + 8L * matchSel.a(i)) }
       out.a(i) = in.a(matchSel.a(i))
-      if (p ne null) p.store(out.addr + 8L * i)
+      if (p ne null) p.store(out.addr(p) + 8L * i)
       i += 1
     }
     if (p ne null) { p.loop(matchSel.n); p.exitLoop() }

@@ -1,29 +1,26 @@
 package repro.tw
 
-import repro.core.Addr
+import repro.core.Region
 
 /** A Tectorwise value vector: one intermediate-result buffer of 64-bit
-  * values. Every vector registers in the simulated address space so the
-  * cache simulator sees materialization traffic (the paper's §4.2 source of
-  * extra instructions and L1 misses in vectorized execution).
+  * values. Under a `Prof` every vector is a [[Region]] of the run's arena,
+  * so the cache simulator sees materialization traffic (the paper's §4.2
+  * source of extra instructions and L1 misses in vectorized execution).
   */
-final class Vec(val capacity: Int) {
+final class Vec(val capacity: Int) extends Region(8L * capacity) {
   val a: Array[Long] = new Array[Long](capacity)
-  val addr: Long = Addr.alloc(8L * capacity)
 }
 
 /** A selection vector: indexes of qualifying tuples within the current
   * batch, produced by selection primitives and consumed by all downstream
   * primitives (§2.1).
   */
-final class Sel(val capacity: Int) {
+final class Sel(val capacity: Int) extends Region(4L * capacity) {
   val a: Array[Int] = new Array[Int](capacity)
-  val addr: Long = Addr.alloc(4L * capacity)
   var n: Int = 0
 }
 
 /** An entry-index vector (hash-table candidates / matches in Fig. 2b). */
-final class EntryVec(val capacity: Int) {
+final class EntryVec(val capacity: Int) extends Region(4L * capacity) {
   val a: Array[Int] = new Array[Int](capacity)
-  val addr: Long = Addr.alloc(4L * capacity)
 }

@@ -10,10 +10,10 @@ import repro.core.{BranchSim, HashTable, Prof}
   * generator would inline at every probe site.
   */
 object TyperOps {
-  private val sEq1 = BranchSim.site()
-  private val sChain1 = BranchSim.site()
-  private val sEq2 = BranchSim.site()
-  private val sChain2 = BranchSim.site()
+  private val sEq1 = BranchSim.site("TyperOps.eq1")
+  private val sChain1 = BranchSim.site("TyperOps.chain1")
+  private val sEq2 = BranchSim.site("TyperOps.eq2")
+  private val sChain2 = BranchSim.site("TyperOps.chain2")
 
   /** Probe a single-key chain; returns the matching entry or -1. */
   def probe1(ht: HashTable, h: Long, k0: Long, p: Prof): Int = {

@@ -8,7 +8,7 @@ import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
   * paper's computational showcase (§4.1): intermediates never leave locals.
   */
 object TyperQ1 {
-  private val sDate = BranchSim.site()
+  private val sDate = BranchSim.site("TyperQ1.date")
 
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
     val plan = new TpchPlans.Q1(d, threads)

@@ -12,8 +12,8 @@ import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
   *  4. scan orders, probe both HTs, emit result rows.
   */
 object TyperQ18 {
-  private val sHaving = BranchSim.site()
-  private val sOHit = BranchSim.site(); private val sCHit = BranchSim.site()
+  private val sHaving = BranchSim.site("TyperQ18.having")
+  private val sOHit = BranchSim.site("TyperQ18.oHit"); private val sCHit = BranchSim.site("TyperQ18.cHit")
 
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
     val plan = new TpchPlans.Q18(d, threads)

@@ -11,9 +11,9 @@ import repro.queries.{QueryOut, TpchConsts, TpchData, TpchPlans}
   * Barriers between pipelines; hash tables shared across workers (§6.1).
   */
 object TyperQ3 {
-  private val sSeg = BranchSim.site(); private val sODate = BranchSim.site()
-  private val sCHit = BranchSim.site(); private val sLDate = BranchSim.site()
-  private val sOHit = BranchSim.site()
+  private val sSeg = BranchSim.site("TyperQ3.seg"); private val sODate = BranchSim.site("TyperQ3.oDate")
+  private val sCHit = BranchSim.site("TyperQ3.cHit"); private val sLDate = BranchSim.site("TyperQ3.lDate")
+  private val sOHit = BranchSim.site("TyperQ3.oHit")
 
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
     val plan = new TpchPlans.Q3(d, threads)

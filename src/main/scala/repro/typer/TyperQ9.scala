@@ -9,9 +9,9 @@ import repro.queries.{QueryOut, TpchData, TpchPlans}
   * (nation, year). The paper's join-heavy stress test.
   */
 object TyperQ9 {
-  private val sColor = BranchSim.site()
-  private val sPHit = BranchSim.site(); private val sSHit = BranchSim.site()
-  private val sPsHit = BranchSim.site(); private val sOHit = BranchSim.site()
+  private val sColor = BranchSim.site("TyperQ9.color")
+  private val sPHit = BranchSim.site("TyperQ9.pHit"); private val sSHit = BranchSim.site("TyperQ9.sHit")
+  private val sPsHit = BranchSim.site("TyperQ9.psHit"); private val sOHit = BranchSim.site("TyperQ9.oHit")
 
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
     val plan = new TpchPlans.Q9(d, threads)

@@ -70,7 +70,7 @@ final class VolScan(cols: Array[LongCol]) extends VolOp {
 }
 
 final class VolFilter(child: VolOp, pred: Expr) extends VolOp {
-  private val site = BranchSim.site()
+  private val site = BranchSim.site("VolFilter.keep")
   override def open(): Unit = child.open()
   def next(p: Prof): Array[Long] = {
     callOverhead(p)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class BranchSimSpec extends AnyFunSuite {
@@ -50,16 +51,28 @@ class BranchSimSpec extends AnyFunSuite {
     assert(b.mispredicts < 2500, s"${b.mispredicts}")
   }
 
-  test("reset clears state") {
-    val b = new BranchSim
-    val site = BranchSim.site()
-    b.branch(site, taken = true)
-    b.reset()
-    assert(b.branches == 0 && b.mispredicts == 0)
+  test("a site's id is fixed by its name") {
+    assert(BranchSim.site("X.a") == BranchSim.site("X.a"))
+    assert(BranchSim.site("X.a") != BranchSim.site("X.b"))
   }
 
-  test("site ids are unique") {
-    val a = BranchSim.site(); val c = BranchSim.site()
-    assert(a != c)
+  // Every site is declared as `BranchSim.site("<Owner>.<branch>")` in
+  // src/main/scala; a computed name would escape this check, so it is
+  // rejected too.
+  test("every site id the engines use is distinct") {
+    val files = {
+      val s = java.nio.file.Files.walk(java.nio.file.Paths.get("src/main/scala"))
+      try s.iterator.asScala.filter(_.toString.endsWith(".scala")).toList finally s.close()
+    }
+    val calls = files.flatMap { f =>
+      "BranchSim\\.site\\(([^)]*)\\)".r.findAllMatchIn(java.nio.file.Files.readString(f)).map(_.group(1)).toList
+    }
+    val names = calls.map { c =>
+      assert(c.matches("\"[A-Za-z0-9]+\\.[A-Za-z0-9]+\""), s"site name must be a literal Owner.branch: $c")
+      c.drop(1).dropRight(1)
+    }
+    assert(names.size >= 30, names)
+    assert(names.distinct.size == names.size, names.diff(names.distinct))
+    assert(names.map(BranchSim.site(_)).distinct.size == names.size, "two site names hash to one id")
   }
 }

@@ -70,13 +70,6 @@ class CacheSimSpec extends AnyFunSuite {
     assert(c.misses + c.hits == 100000)
   }
 
-  test("reset clears both levels") {
-    val c = l1(new CacheSim(1 << 20, 16, null))
-    c.access(1); c.access(1)
-    c.reset()
-    assert(c.misses == 0 && c.hits == 0 && c.next.misses == 0)
-  }
-
   test("hierarchy() builds the profile's L1 and LLC sizes") {
     val h = CacheSim.hierarchy(HwProfile.skylake)
     assert(h.sizeBytes == (32 << 10))

@@ -16,7 +16,7 @@ class ColTableSpec extends SparkSpec {
       element_at(array(lit("x"), lit("y"), lit("z")), ($"id" % 3 + 1).cast("int")) as "s")
   }
 
-  private lazy val t = Columnar.fromDF(df, "t",
+  private lazy val t = Columnar.fromDF(df, "t", new Arena(Arena.ColumnBase),
     "k" -> Enc.Id, "price" -> Enc.Cents, "d" -> Enc.Days, "s" -> Enc.Dict)
 
   test("row count and column registry") {
@@ -54,6 +54,8 @@ class ColTableSpec extends SparkSpec {
     val addrs = t.columnNames.map(c => t(c).addr)
     assert(addrs.distinct.size == addrs.size)
     assert(addrs.forall(_ % 64 == 0))
+    // packed from the layout's base in spec order, 100 × 8 B rounded to lines
+    assert(Seq("k", "price", "d", "s").map(t(_).addr) == (0 until 4).map(Arena.ColumnBase + 832L * _))
   }
 
   test("day() parses ISO dates to epoch days") {

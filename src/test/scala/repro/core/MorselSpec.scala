@@ -63,16 +63,27 @@ class MorselSpec extends AnyFunSuite {
     assert(ex.getMessage.contains("boom"))
   }
 
+  test("worker failing after the first barrier while peers wait at the second propagates") {
+    val passed = new java.util.concurrent.atomic.AtomicInteger(0)
+    val ex = intercept[RuntimeException] {
+      Morsel.run(4) { ctx =>
+        ctx.barrier()
+        passed.incrementAndGet()
+        if (ctx.workerId == 1) throw new IllegalStateException("late boom")
+        ctx.barrier() // peers must not hang here
+      }
+    }
+    assert(ex.getMessage.contains("late boom"))
+    assert(passed.get == 4, "every worker got past the first barrier")
+  }
+
   test("scanDispenser charges the io throttle per morsel") {
-    val t = new ColTable("t", 10000, Map("a" -> LongCol(new Array[Long](10000))))
     val throttle = new Throttle(1e12) // effectively unlimited; just count bytes
-    Morsel.ioThrottle = throttle
-    try {
-      val disp = Morsel.scanDispenser(t, 3)
-      var m = disp.next()
-      while (m != null) m = disp.next()
-      assert(throttle.totalBytes == 10000L * 24)
-    } finally Morsel.ioThrottle = null
+    val t = new ColTable("t", 10000, Map("a" -> LongCol(new Array[Long](10000)))).throttled(throttle)
+    val disp = Morsel.scanDispenser(t, 3)
+    var m = disp.next()
+    while (m != null) m = disp.next()
+    assert(throttle.totalBytes == 10000L * 24)
   }
 
   test("scanDispenser with no throttle installed consumes nothing") {

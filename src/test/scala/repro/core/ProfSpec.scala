@@ -95,11 +95,22 @@ class ProfSpec extends AnyFunSuite {
     assert(math.abs(p.seconds - 4e6 / (4.0e9)) < 1e-9)
   }
 
-  test("reset restores a fresh profiler") {
+  test("arena placements are 64-byte aligned, non-overlapping and above the columns") {
     val p = prof()
-    p.enterLoop(5); p.load(123); p.ops(9)
-    p.reset()
-    assert(p.instr == 0 && p.cycles == 0.0 && p.l1Misses == 0)
-    p.enterLoop(3); p.exitLoop() // stack was cleared
+    val a = p.place(100); val b = p.place(1); val c = p.place(0); val d = p.place(64)
+    assert(Seq(a, b, c, d).forall(_ % 64 == 0))
+    assert(a >= Arena.RunBase && b >= a + 100 && c - b == 64 && d - c == 64)
+  }
+
+  test("a region is placed once per Prof, on first touch, in touch order") {
+    val p = prof()
+    val r1 = new Region(1000); val r2 = new Region(8)
+    val a2 = r2.addr(p)
+    val a1 = r1.addr(p)
+    assert(a2 == Arena.RunBase && a1 == Arena.RunBase + 64)
+    assert(r1.addr(p) == a1 && r2.addr(p) == a2)
+    // a fresh Prof places afresh, whatever the earlier one did
+    val q = prof()
+    assert(r1.addr(q) == Arena.RunBase && r2.addr(q) == Arena.RunBase + 1024)
   }
 }

@@ -2,7 +2,7 @@ package repro.queries
 
 import java.time.LocalDate
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, lit, min}
+import org.apache.spark.sql.functions.{col, lit, min, pmod, when}
 import repro.{Oracle, SparkSpec}
 import repro.volcano.VolcanoTpch
 
@@ -13,7 +13,9 @@ import repro.volcano.VolcanoTpch
   * from the dictionaries, so `code()` returns -1, and when every lineitem
   * has the same order key, return flag and line status, so q1 and q18 each
   * aggregate every row into one group and every q3/q9 probe of the orders
-  * hash table walks the same chain.
+  * hash table walks the same chain, and when half of lineitem (the lines of
+  * even orders) has one hot (partkey, suppkey) pair, of a green part, so
+  * half of q9's probes hit one part, one partsupp entry and one supplier.
   */
 class TpchEdgeCasesSpec extends SparkSpec {
   private lazy val base = TpchSchema.load(spark, 0.005)
@@ -39,6 +41,16 @@ class TpchEdgeCasesSpec extends SparkSpec {
       .withColumn("l_linestatus", lit("O")))
   }
 
+  private lazy val hotJoinKey = {
+    val hot = base.df("partsupp").join(base.df("part"), col("ps_partkey") === col("p_partkey"))
+      .filter(col("p_color") === "green").agg(min("ps_partkey")).head().getLong(0)
+    val hotSupp = base.df("partsupp").filter(col("ps_partkey") === hot).agg(min("ps_suppkey")).head().getLong(0)
+    val even = pmod(col("l_orderkey"), lit(2)) === 0
+    instance("lineitem" -> base.df("lineitem")
+      .withColumn("l_partkey", when(even, lit(hot)).otherwise(col("l_partkey")))
+      .withColumn("l_suppkey", when(even, lit(hotSupp)).otherwise(col("l_suppkey"))))
+  }
+
   test("the instances are what their names say") {
     assert(emptyLineitem.lineitem.numRows == 0)
     assert(emptyLineitem.orders.numRows == base.orders.numRows)
@@ -50,12 +62,17 @@ class TpchEdgeCasesSpec extends SparkSpec {
     assert(li("l_orderkey").data.distinct.length == 1)
     assert(li("l_returnflag").dict.length == 1 && li("l_linestatus").dict.length == 1)
     for (q <- Seq("q1", "q3", "q18")) assert(Engines.typer(q)(allEqualKeys, 1, null).numRows == 1, q)
+    val hot = hotJoinKey.lineitem
+    val pairs = hot("l_partkey").data.zip(hot("l_suppkey").data)
+    val hotShare = pairs.groupBy(identity).values.map(_.length).max.toDouble / pairs.length
+    assert(hot.numRows == base.lineitem.numRows && hotShare > 0.4 && hotShare < 0.6, hotShare)
   }
 
   for ((label, data) <- Seq[(String, () => TpchData)](
          "empty lineitem" -> (() => emptyLineitem),
          "dictionary misses" -> (() => dictMisses),
-         "all-equal keys" -> (() => allEqualKeys));
+         "all-equal keys" -> (() => allEqualKeys),
+         "hot join key" -> (() => hotJoinKey));
        q <- Engines.queryNames) {
     test(s"$label: $q agrees across Typer, Tectorwise and DuckDB") {
       val d = data()

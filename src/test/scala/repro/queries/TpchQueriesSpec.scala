@@ -1,7 +1,7 @@
 package repro.queries
 
 import repro.{GoldenCounters, Oracle, SparkSpec}
-import repro.core.{HwProfile, Prof}
+import repro.core.{HashTable, HwProfile, Prof, Throttle}
 
 /** End-to-end correctness of the five TPC-H-lite queries: every engine is
   * checked against the DuckDB oracle, against Spark SQL, against the other
@@ -61,6 +61,25 @@ class TpchQueriesSpec extends SparkSpec {
       assert(out.numRows > 0)
       if (q == "q6") assert(out.rows.head.head != null, "Q6 revenue should be non-NULL at this SF")
     }
+  }
+
+  test("every cell's counters are the same before and after unrelated work in the JVM") {
+    def counters(): Seq[String] =
+      for (q <- Engines.queryNames; (e, fn) <- Seq("typer" -> Engines.typer(q), "tw" -> tw(q))) yield {
+        val p = new Prof(HwProfile.skylake)
+        fn(d, 1, p)
+        GoldenCounters.row(q, e, p)
+      }
+    val before = counters()
+    val other = new Prof(HwProfile.skylake)
+    Engines.typer("q9")(d, 1, other)
+    tw("q3")(d.throttled(new Throttle(1e12)), 2, null)
+    val stray = new HashTable(2, 100000)
+    stray.first(42L, other)
+    new repro.tw.Vec(4096).addr(other)
+    tw("q18")(d, 1, other)
+    val after = counters()
+    assert(after == before, before.zip(after).filter(x => x._1 != x._2).mkString("\n"))
   }
 
   test("volcano q1 equals Typer q1") {
